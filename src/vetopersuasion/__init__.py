@@ -2,12 +2,10 @@
 
 from .accept import (
     BinaryTypeEnv,
-    accepts_quadratic,
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
     three_type_best_proposal,
-    vetoer_value,
 )
 from .dist import (
     ExponentialTilt,
@@ -23,7 +21,6 @@ from .errors import (
     DomainError,
     FullMassBelowError,
     NoRootError,
-    SingularityError,
     UnsupportedCombinationError,
     VetoPersuasionError,
 )
@@ -44,17 +41,13 @@ from .prefs import (
     Linear,
     Power,
     ProposerPreferences,
-    VetoerLoss,
     from_literal as prefs_from_literal,
 )
 from .qsolve import (
-    Experiment,
     Regime,
     SolveOutcome,
-    full_info_optimal,
     indirect_u,
     no_info_optimal,
-    payoff_of_experiment,
     solve_cutoff,
     solve_persuasion_first,
     solve_proposal_first,
@@ -69,7 +62,6 @@ __all__ = [
     "DegenerateGridError",
     "DomainError",
     "Envelope",
-    "Experiment",
     "Exponential",
     "ExponentialTilt",
     "FiniteAtoms",
@@ -79,23 +71,18 @@ __all__ = [
     "Power",
     "ProposerPreferences",
     "Regime",
-    "SingularityError",
     "SolveOutcome",
     "ThreeTypeValues",
     "TypeDistribution",
     "UniformInterval",
     "UnsupportedCombinationError",
     "VetoPersuasionError",
-    "VetoerLoss",
-    "accepts_quadratic",
     "best_acceptable_proposal",
     "concavify",
     "dist_from_literal",
-    "full_info_optimal",
     "indirect_u",
     "lr_tilt",
     "no_info_optimal",
-    "payoff_of_experiment",
     "phi_threshold",
     "prefs_from_literal",
     "psi_cap",
@@ -109,5 +96,4 @@ __all__ = [
     "three_type_values",
     "uhat",
     "utilde",
-    "vetoer_value",
 ]

@@ -1,21 +1,18 @@
 """Vetoer acceptance logic.
 
-Quadratic loss admits the clean rule "accept p > 0 iff p <= 2 E[theta]";
-absolute (linear) loss does not reduce to a mean comparison, so it is
-handled only for small atom supports, where acceptance is a piecewise
-linear inequality in the proposal.
+Quadratic loss admits the clean rule "accept p > 0 iff p <= 2 E[theta]",
+which the quadratic solvers apply directly.  Absolute (linear) loss does
+not reduce to a mean comparison, so it is handled here only for small atom
+supports, where acceptance is a piecewise linear inequality in the proposal.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .dist import FiniteAtoms, TypeDistribution
-from .errors import DomainError, UnsupportedCombinationError
-from .prefs import VetoerLoss
-
-_MAX_ABSOLUTE_ATOMS = 3
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -31,6 +28,8 @@ class BinaryTypeEnv:
     mu0: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(x) for x in (self.ell, self.h, self.mu0)):
+            raise DomainError(f"parameters must be finite, got {self}")
         if not 0.0 <= self.ell < self.h:
             raise DomainError(f"need 0 <= ell < h, got ell={self.ell}, h={self.h}")
         if not 0.0 <= self.mu0 <= 1.0:
@@ -40,28 +39,6 @@ class BinaryTypeEnv:
     def p_bar(self) -> float:
         """Largest proposal any belief can support: min(2h, 1)."""
         return min(2.0 * self.h, 1.0)
-
-
-def vetoer_value(a: float, d: TypeDistribution, v: VetoerLoss) -> float:
-    """Vetoer's expected payoff from policy a under belief d."""
-    if v is VetoerLoss.QUADRATIC:
-        return -d.expect(lambda t: (t - a) ** 2)
-    if not isinstance(d, FiniteAtoms):
-        raise UnsupportedCombinationError(
-            "absolute vetoer loss is only supported for atom distributions"
-        )
-    if len(d.points) > _MAX_ABSOLUTE_ATOMS:
-        raise UnsupportedCombinationError(
-            f"absolute vetoer loss supports at most {_MAX_ABSOLUTE_ATOMS} atoms"
-        )
-    return -sum(p * abs(t - a) for t, p in d.points)
-
-
-def accepts_quadratic(p: float, posterior_mean: float) -> bool:
-    """Quadratic-loss acceptance; indifference breaks toward acceptance."""
-    if p < 0.0:
-        raise DomainError(f"proposals are nonnegative, got {p}")
-    return p == 0.0 or p <= 2.0 * posterior_mean
 
 
 def phi_threshold(env: BinaryTypeEnv, p: float) -> float:

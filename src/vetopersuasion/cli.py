@@ -2,8 +2,6 @@
 and run oracle cross-checks.
 
 Exit codes: 0 on success, 2 on input errors, 3 when a cross-check fails.
-The ``VPS_SEED`` environment variable is reserved for future use; all
-solvers are deterministic and ignore it.
 """
 
 from __future__ import annotations
@@ -13,16 +11,15 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import closedform, lsolve, oracle, qsolve
-from .accept import BinaryTypeEnv, phi_threshold, psi_cap
+from .accept import BinaryTypeEnv
 from .dist import FiniteAtoms, TypeDistribution, UniformInterval, from_literal, lr_tilt
 from .errors import VetoPersuasionError
-from .prefs import Exponential, Linear, Power, ProposerPreferences
+from .prefs import Exponential, Linear, Power
 from .prefs import from_literal as prefs_from_literal
 
 _FMT = "%.12g"
@@ -32,18 +29,22 @@ def _fmt(x: Optional[float]) -> str:
     return "" if x is None else _FMT % x
 
 
+def _write(text: str, out: Optional[str]) -> None:
+    """Write text to the file named by --out, or to stdout when it is unset."""
+    if out:
+        with open(out, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _write_csv(rows: List[Sequence], header: Sequence[str], out: Optional[str]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
         w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(buf.getvalue(), out)
 
 
 def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
@@ -51,11 +52,7 @@ def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
         text = json.dumps(report, sort_keys=True) + "\n"
     else:
         text = "".join(f"{k}: {v}\n" for k, v in report.items())
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, out)
 
 
 def _binary_env(d: TypeDistribution) -> BinaryTypeEnv:
@@ -162,11 +159,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     worker, grid, (dir_s, dir_up) = _SWEEPS[args.kind]
     if args.values:
         grid = [float(v) for v in args.values.split(",")]
-    if args.jobs and args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(worker, grid))
-    else:
-        rows = [worker(g) for g in grid]
+    rows = [worker(g) for g in grid]
 
     def ok(prev: float, cur: float, sense: str) -> bool:
         return cur <= prev + 1e-9 if sense == "<=" else cur >= prev - 1e-9
@@ -291,12 +284,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         )
     all_ok = all(ok for _, ok, _ in checks)
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {msg}" for name, ok, msg in checks]
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0 if all_ok else 3
 
 
@@ -325,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", default=None,
                        help="machine-readable output")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--jobs", type=int, default=None, help="worker processes for sweeps")
         p.add_argument("--grid", type=int, default=None, help="grid size override")
         p.add_argument("--tol", type=float, default=None, help="check tolerance")
         p.add_argument("--config", default=None, help="JSON config file mirroring flags")

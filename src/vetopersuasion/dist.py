@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Tuple
 
 from scipy.integrate import quad
 
@@ -45,10 +45,6 @@ class TypeDistribution(ABC):
     def upper_partial_mean(self, s: float) -> float:
         """Integral of theta over the event {theta >= s}."""
 
-    @abstractmethod
-    def expect(self, fn: Callable[[float], float]) -> float:
-        """E[fn(theta)]."""
-
     def cond_mean_above(self, s: float) -> float:
         """E[theta | theta >= s] (weak inequality: an atom at s is included)."""
         mass = 1.0 - self.cdf_below(s)
@@ -69,6 +65,8 @@ class UniformInterval(TypeDistribution):
     hi: float
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise DomainError(f"support bounds must be finite, got [{self.lo}, {self.hi}]")
         if not self.lo < self.hi:
             raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if not self.hi > 0.0:
@@ -100,10 +98,6 @@ class UniformInterval(TypeDistribution):
             raise FullMassBelowError(f"no mass above s={s!r}")
         return 0.5 * (a + self.hi)
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        val, _ = quad(fn, self.lo, self.hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS)
-        return val / (self.hi - self.lo)
-
 
 @dataclass(frozen=True)
 class FiniteAtoms(TypeDistribution):
@@ -116,6 +110,8 @@ class FiniteAtoms(TypeDistribution):
         object.__setattr__(self, "points", pts)
         if not pts:
             raise DomainError("need at least one atom")
+        if not all(math.isfinite(x) for pt in pts for x in pt):
+            raise DomainError("atom locations and probabilities must be finite")
         thetas = [t for t, _ in pts]
         probs = [p for _, p in pts]
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
@@ -141,9 +137,6 @@ class FiniteAtoms(TypeDistribution):
     def upper_partial_mean(self, s: float) -> float:
         return sum(t * p for t, p in self.points if t >= s)
 
-    def expect(self, fn: Callable[[float], float]) -> float:
-        return sum(p * fn(t) for t, p in self.points)
-
 
 @dataclass(frozen=True)
 class ExponentialTilt(TypeDistribution):
@@ -157,6 +150,8 @@ class ExponentialTilt(TypeDistribution):
             raise DomainError(
                 "tilt base must be a UniformInterval; tilt atoms by reweighting"
             )
+        if not math.isfinite(self.lam):
+            raise DomainError(f"tilt parameter must be finite, got {self.lam}")
         # Normalizer cached once; the value is immutable afterwards.
         lo, hi = self.base.support
         z, _ = quad(lambda t: math.exp(self.lam * t), lo, hi,
@@ -167,14 +162,15 @@ class ExponentialTilt(TypeDistribution):
     def support(self) -> Tuple[float, float]:
         return self.base.support
 
-    def _weight(self, lo: float, hi: float, fn=None) -> float:
+    def _weight(self, lo: float, hi: float, moment: bool = False) -> float:
+        """Integral over [lo, hi] of exp(lam t), or of t exp(lam t) if moment."""
         if hi <= lo:
             return 0.0
         lam = self.lam
-        if fn is None:
-            g = lambda t: math.exp(lam * t)
+        if moment:
+            g = lambda t: t * math.exp(lam * t)
         else:
-            g = lambda t: fn(t) * math.exp(lam * t)
+            g = lambda t: math.exp(lam * t)
         val, _ = quad(g, lo, hi, epsabs=_QUAD_EPS, epsrel=_QUAD_EPS)
         return val
 
@@ -188,11 +184,11 @@ class ExponentialTilt(TypeDistribution):
 
     def mean(self) -> float:
         lo, hi = self.support
-        return self._weight(lo, hi, fn=lambda t: t) / self._norm
+        return self._weight(lo, hi, moment=True) / self._norm
 
     def upper_partial_mean(self, s: float) -> float:
         lo, hi = self.support
-        return self._weight(max(s, lo), hi, fn=lambda t: t) / self._norm
+        return self._weight(max(s, lo), hi, moment=True) / self._norm
 
     def cond_mean_above(self, s: float) -> float:
         lo, hi = self.support
@@ -200,11 +196,7 @@ class ExponentialTilt(TypeDistribution):
         mass = self._weight(a, hi)
         if mass / self._norm <= _MASS_EPS:
             raise FullMassBelowError(f"no mass above s={s!r}")
-        return self._weight(a, hi, fn=lambda t: t) / mass
-
-    def expect(self, fn: Callable[[float], float]) -> float:
-        lo, hi = self.support
-        return self._weight(lo, hi, fn=fn) / self._norm
+        return self._weight(a, hi, moment=True) / mass
 
 
 def lr_tilt(d: TypeDistribution, lam: float) -> TypeDistribution:

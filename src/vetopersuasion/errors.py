@@ -27,7 +27,3 @@ class NoRootError(VetoPersuasionError):
 
 class DegenerateGridError(VetoPersuasionError):
     """A grid argument is too small to define the requested construction."""
-
-
-class SingularityError(DomainError):
-    """Evaluation at a point where the quantity diverges."""

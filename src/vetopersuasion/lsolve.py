@@ -11,10 +11,11 @@ handled through a restricted parametric family of binary signals.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._numeric import golden_max
 from .accept import (
     BinaryTypeEnv,
     best_acceptable_proposal,
@@ -33,7 +34,6 @@ class Envelope:
     """Upper concave envelope of a finite point set, piecewise linear."""
 
     breakpoints: Tuple[Tuple[float, float], ...]
-    contact: Tuple[Tuple[float, float], ...]
 
     def value(self, mu: float) -> float:
         xs = [b[0] for b in self.breakpoints]
@@ -93,8 +93,7 @@ def concavify(
                 break
         hull.append(p)
 
-    hull_set = set(hull)
-    env = Envelope(tuple(hull), tuple(p for p in dedup if p in hull_set))
+    env = Envelope(tuple(hull))
 
     xs = [p[0] for p in hull]
     k = int(np.searchsorted(xs, mu0, side="right")) - 1
@@ -208,27 +207,6 @@ def solve_proposal_first_binary(
     return p_opt, value, experiment
 
 
-def _golden_max(
-    f: Callable[[float], float], lo: float, hi: float, tol: float = _GOLDEN_TOL
-) -> Tuple[float, float]:
-    invphi = (5.0 ** 0.5 - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 @dataclass(frozen=True)
 class ThreeTypeValues:
     v_noinfo: float
@@ -281,7 +259,9 @@ def three_type_values(
     # Past sigma0_cap the high posterior puts majority weight on type 0 and
     # the value is flat at its floor, so the cap loses nothing.
     sigma0_cap = min(1.0, (wl + wh) / w0) if w0 > 0.0 else 1.0
-    sA, vA = _golden_max(lambda s: split_value((s, 1.0, 1.0)), 0.0, sigma0_cap)
+    sA, vA = golden_max(
+        lambda s: split_value((s, 1.0, 1.0)), 0.0, sigma0_cap, _GOLDEN_TOL
+    )
     for s_end in (0.0, sigma0_cap):
         v_end = split_value((s_end, 1.0, 1.0))
         if v_end > vA:
@@ -289,7 +269,7 @@ def three_type_values(
 
     # Branch B: type 0 never sends the high signal, type h always does,
     # type ell mixes.
-    sB, vB = _golden_max(lambda s: split_value((0.0, s, 1.0)), 0.0, 1.0)
+    sB, vB = golden_max(lambda s: split_value((0.0, s, 1.0)), 0.0, 1.0, _GOLDEN_TOL)
     for s_end in (0.0, 1.0):
         v_end = split_value((0.0, s_end, 1.0))
         if v_end > vB:

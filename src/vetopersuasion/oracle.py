@@ -9,11 +9,11 @@ the fast paths is the evidence the fast paths are right.
 
 from __future__ import annotations
 
-from itertools import product
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
+from ._numeric import golden_max
 from .accept import three_type_best_proposal
 from .dist import TypeDistribution
 from .errors import DomainError
@@ -46,25 +46,6 @@ def _partition_value(
         mean = (d.upper_partial_mean(a) - d.upper_partial_mean(b)) / mass
         total += mass * _indirect(mean, prefs)
     return total
-
-
-def _golden(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
-    invphi = (5.0 ** 0.5 - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > _REFINE_TOL:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def partition_search(
@@ -130,7 +111,7 @@ def partition_search(
                 trial[m] = c
                 return _partition_value(d, prefs, trial)
 
-            c_star, v_star = _golden(f, a, b)
+            c_star, v_star = golden_max(f, a, b, _REFINE_TOL)
             if v_star > best_val:
                 cuts[m], best_val = c_star, v_star
     return best_val, tuple(cuts)
@@ -205,10 +186,7 @@ def concave_envelope_oracle(points: Sequence[Tuple[float, float]]) -> Envelope:
             t = (x[inside] - x[j]) / (x[k] - x[j])
             seg = (1.0 - t) * y[j] + t * y[k]
             env[inside] = np.maximum(env[inside], seg)
-    contact = tuple(
-        (float(xi), float(yi)) for xi, yi, ei in zip(x, y, env) if ei - yi <= 1e-12
-    )
-    return Envelope(tuple((float(a), float(b)) for a, b in zip(x, env)), contact)
+    return Envelope(tuple((float(a), float(b)) for a, b in zip(x, env)))
 
 
 def _split_value_atoms(
@@ -294,7 +272,7 @@ def binary_signal_search_atoms(
                 trial[i] = s
                 return _split_value_atoms(w, th, prefs, trial)
 
-            s_star, v_star = _golden(f, a, b)
+            s_star, v_star = golden_max(f, a, b, _REFINE_TOL)
             if v_star > best:
                 sigma[i], best = s_star, v_star
     return float(best), (float(sigma[0]), float(sigma[1]), float(sigma[2]))
@@ -307,10 +285,11 @@ def proposal_first_grid(
     ps = np.linspace(0.0, env.p_bar, grid_n)
     vals = [utilde(env, prefs, p) for p in ps]
     k = int(np.argmax(vals))
-    p_star, v_star = _golden(
+    p_star, v_star = golden_max(
         lambda p: utilde(env, prefs, p),
         float(ps[max(0, k - 1)]),
         float(ps[min(grid_n - 1, k + 1)]),
+        _REFINE_TOL,
     )
     if v_star >= vals[k]:
         return p_star, v_star

@@ -21,14 +21,8 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from enum import Enum
 
-from .errors import DomainError, SingularityError
-
-
-class VetoerLoss(Enum):
-    QUADRATIC = "quadratic"
-    ABSOLUTE = "absolute"
+from .errors import DomainError
 
 
 class ProposerPreferences(ABC):
@@ -41,10 +35,6 @@ class ProposerPreferences(ABC):
     @abstractmethod
     def _loss_deriv(self, x: float) -> float:
         ...
-
-    @abstractmethod
-    def risk_aversion(self, a: float) -> float:
-        """-u''(a)/u'(a) for a in [0, 1)."""
 
     def loss(self, x: float) -> float:
         if x < 0.0:
@@ -75,19 +65,14 @@ class Linear(ProposerPreferences):
     def _loss_deriv(self, x: float) -> float:
         return 1.0
 
-    def risk_aversion(self, a: float) -> float:
-        if not 0.0 <= a < 1.0:
-            raise DomainError(f"risk aversion defined on [0, 1), got {a}")
-        return 0.0
-
 
 @dataclass(frozen=True)
 class Power(ProposerPreferences):
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.gamma < 1.0:
-            raise DomainError(f"power loss needs gamma >= 1, got {self.gamma}")
+        if not math.isfinite(self.gamma) or self.gamma < 1.0:
+            raise DomainError(f"power loss needs a finite gamma >= 1, got {self.gamma}")
 
     def _loss(self, x: float) -> float:
         return x ** self.gamma
@@ -98,32 +83,20 @@ class Power(ProposerPreferences):
             return 0.0
         return self.gamma * x ** (self.gamma - 1.0)
 
-    def risk_aversion(self, a: float) -> float:
-        if a >= 1.0:
-            raise SingularityError("power-loss risk aversion diverges at a = 1")
-        if a < 0.0:
-            raise DomainError(f"risk aversion defined on [0, 1), got {a}")
-        return (self.gamma - 1.0) / (1.0 - a)
-
 
 @dataclass(frozen=True)
 class Exponential(ProposerPreferences):
     alpha: float
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0.0:
-            raise DomainError(f"CARA coefficient must be > 0, got {self.alpha}")
+        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
+            raise DomainError(f"CARA coefficient must be finite and > 0, got {self.alpha}")
 
     def _loss(self, x: float) -> float:
         return math.expm1(self.alpha * x) / self.alpha
 
     def _loss_deriv(self, x: float) -> float:
         return math.exp(self.alpha * x)
-
-    def risk_aversion(self, a: float) -> float:
-        if not 0.0 <= a < 1.0:
-            raise DomainError(f"risk aversion defined on [0, 1), got {a}")
-        return self.alpha
 
 
 def from_literal(text: str) -> ProposerPreferences:

@@ -20,21 +20,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from scipy.optimize import brentq
 
+from ._numeric import bisect_rising, golden_max
 from .dist import FiniteAtoms, TypeDistribution
-from .errors import (
-    AssumptionViolatedError,
-    DomainError,
-    NoRootError,
-    UnsupportedCombinationError,
-)
+from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
 
-_S_TOL = 1e-13
-_MAX_BISECT = 200
+_GOLDEN_TOL = 1e-12
 
 
 class Regime(Enum):
@@ -52,19 +47,6 @@ class SolveOutcome:
     proposal: float
     value: float
     veto_prob: float
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """A signal structure.
-
-    For continuous distributions, ``cutoffs`` defines an interval partition
-    of the support.  For atom distributions, ``signal_probs`` gives each
-    atom's probability of sending the high signal in a two-signal map.
-    """
-
-    cutoffs: Optional[Tuple[float, ...]] = None
-    signal_probs: Optional[Tuple[float, ...]] = None
 
 
 def indirect_u(s: float, prefs: ProposerPreferences) -> float:
@@ -121,36 +103,27 @@ def solve_cutoff(
 ) -> Tuple[float, float]:
     """The optimal cutoff s_star in [theta_lo, 0] and s_upper = E[theta|theta>=s_star].
 
-    Bisection on z(s) = t(s) - E[theta | theta >= s], where t(s) is the
+    Bisection on z(s) = E[theta | theta >= s] - t(s), where t(s) is the
     tangency (or corner) point of the supporting line anchored at
-    (s, -c(1)).  z is positive at theta_lo whenever no information is
-    suboptimal and negative near 0, so the bracket is guaranteed.
+    (s, -c(1)).  z is negative at theta_lo whenever no information is
+    suboptimal and positive near 0, so the bracket is guaranteed.
     """
-    theta_lo, theta_hi = d.support
+    theta_lo, _ = d.support
     if theta_lo >= 0.0:
         raise NoRootError("no cutoff exists when the whole support is nonnegative")
 
     def z(s: float) -> float:
-        return _tangency_point(s, prefs) - d.cond_mean_above(s)
+        return d.cond_mean_above(s) - _tangency_point(s, prefs)
 
-    z_hi = _tangency_point(0.0, prefs) - d.cond_mean_above(0.0)
-    if z_hi >= 0.0:
+    if z(0.0) <= 0.0:
         # Corner of a kinked u: the expected policy is maximized at cutoff 0.
         return 0.0, d.cond_mean_above(0.0)
-    if z(theta_lo) <= 0.0:
+    if z(theta_lo) >= 0.0:
         raise NoRootError(
             "no interior cutoff: no information is optimal for this instance"
         )
 
-    lo, hi = theta_lo, 0.0
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _S_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if z(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_rising(z, 0.0, theta_lo, 0.0)
     s_star = 0.5 * (lo + hi)
     return s_star, d.cond_mean_above(s_star)
 
@@ -198,16 +171,8 @@ def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:
     theta_lo, theta_hi = d.support
     if d.cond_mean_above(theta_lo) >= target_mean:
         return theta_lo
-    lo, hi = theta_lo, theta_hi - 1e-12 * max(1.0, abs(theta_hi))
-    for _ in range(_MAX_BISECT):
-        if hi - lo <= _S_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        if d.cond_mean_above(mid) >= target_mean:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    hi = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
+    return bisect_rising(d.cond_mean_above, target_mean, theta_lo, hi)[1]
 
 
 def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences, p: float) -> float:
@@ -224,26 +189,6 @@ def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences, p: float) -
     s = _acceptance_cutoff(d, 0.5 * p)
     accept = 1.0 - d.cdf(s)
     return accept * prefs.utility(p) + (1.0 - accept) * (-prefs.loss(1.0))
-
-
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-12) -> Tuple[float, float]:
-    """Golden-section maximization of a unimodal f on [lo, hi]."""
-    invphi = (5.0 ** 0.5 - 1.0) / 2.0
-    a, b = lo, hi
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-        else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
 
 
 def solve_proposal_first(
@@ -266,11 +211,14 @@ def solve_proposal_first(
     n = 801
     step = p_max / (n - 1)
     grid = [i * step for i in range(n)]
+    # n-1 steps can round one ulp short of p_max, past the p >= 2 theta_hi
+    # guard of _proposal_value; end the grid on p_max exactly.
+    grid[-1] = p_max
     vals = [_proposal_value(d, prefs, p) for p in grid]
     k = max(range(n), key=vals.__getitem__)
     lo = grid[max(0, k - 1)]
     hi = grid[min(n - 1, k + 1)]
-    p_opt, value = _golden_max(lambda p: _proposal_value(d, prefs, p), lo, hi)
+    p_opt, value = golden_max(lambda p: _proposal_value(d, prefs, p), lo, hi, _GOLDEN_TOL)
 
     if mean >= 0.5:
         return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)
@@ -280,51 +228,3 @@ def solve_proposal_first(
     return SolveOutcome(
         Regime.BINARY_CUTOFF, s_star, 0.5 * p_opt, p_opt, value, d.cdf(s_star)
     )
-
-
-def full_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
-    """Whether revealing theta exactly is optimal: U convex on the support.
-
-    Tested numerically through second differences on a 400-point grid;
-    requires theta_hi <= 1/2 (otherwise the flat top region breaks
-    convexity regardless of the loss family).
-    """
-    theta_lo, theta_hi = d.support
-    if theta_hi > 0.5:
-        return False
-    n = 400
-    step = (theta_hi - theta_lo) / (n - 1)
-    u = [indirect_u(theta_lo + i * step, prefs) for i in range(n)]
-    return all(u[i - 1] + u[i + 1] - 2.0 * u[i] >= -1e-9 for i in range(1, n - 1))
-
-
-def payoff_of_experiment(
-    d: TypeDistribution, prefs: ProposerPreferences, e: Experiment
-) -> float:
-    """Expected Proposer payoff of a given experiment: sum over signals of
-    P(signal) * U(posterior mean)."""
-    if e.cutoffs is not None:
-        theta_lo, theta_hi = d.support
-        edges = [theta_lo, *sorted(e.cutoffs), theta_hi]
-        total = 0.0
-        for a, b in zip(edges, edges[1:]):
-            mass = d.cdf(b) - d.cdf(a)
-            if mass <= 0.0:
-                continue
-            cell_mean = (d.upper_partial_mean(a) - d.upper_partial_mean(b)) / mass
-            total += mass * indirect_u(cell_mean, prefs)
-        return total
-    if e.signal_probs is not None:
-        if not isinstance(d, FiniteAtoms):
-            raise DomainError("signal maps apply to atom distributions only")
-        if len(e.signal_probs) != len(d.points):
-            raise DomainError("one signal probability per atom is required")
-        total = 0.0
-        for probs in (e.signal_probs, tuple(1.0 - q for q in e.signal_probs)):
-            mass = sum(p * q for (_, p), q in zip(d.points, probs))
-            if mass <= 0.0:
-                continue
-            m = sum(t * p * q for (t, p), q in zip(d.points, probs)) / mass
-            total += mass * indirect_u(m, prefs)
-        return total
-    raise DomainError("experiment must define cutoffs or signal probabilities")

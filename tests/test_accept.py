@@ -4,41 +4,11 @@ import pytest
 from vetopersuasion import (
     BinaryTypeEnv,
     DomainError,
-    FiniteAtoms,
-    UniformInterval,
-    UnsupportedCombinationError,
-    VetoerLoss,
-    accepts_quadratic,
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
     three_type_best_proposal,
-    vetoer_value,
 )
-
-
-def test_accepts_quadratic():
-    assert accepts_quadratic(0.0, -1.0)  # status quo is always acceptable
-    assert accepts_quadratic(0.6, 0.3)  # indifference -> accept
-    assert not accepts_quadratic(0.6001, 0.3)
-    with pytest.raises(DomainError):
-        accepts_quadratic(-0.1, 0.0)
-
-
-def test_vetoer_value_quadratic():
-    d = UniformInterval(-1.0, 1.0)
-    # E[(theta - a)^2] = Var + (mean - a)^2 = 1/3 + a^2 here.
-    assert vetoer_value(0.5, d, VetoerLoss.QUADRATIC) == pytest.approx(-1.0 / 3.0 - 0.25)
-
-
-def test_vetoer_value_absolute_restrictions():
-    with pytest.raises(UnsupportedCombinationError):
-        vetoer_value(0.5, UniformInterval(-1.0, 1.0), VetoerLoss.ABSOLUTE)
-    four = FiniteAtoms(((0.0, 0.25), (0.1, 0.25), (0.2, 0.25), (0.5, 0.25)))
-    with pytest.raises(UnsupportedCombinationError):
-        vetoer_value(0.5, four, VetoerLoss.ABSOLUTE)
-    d = FiniteAtoms(((0.0, 0.5), (0.5, 0.5)))
-    assert vetoer_value(0.25, d, VetoerLoss.ABSOLUTE) == pytest.approx(-0.25)
 
 
 class TestBinaryEnv:

@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from vetopersuasion.cli import main
+from vetopersuasion.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -139,3 +141,14 @@ def test_config_flag_precedence(capsys, tmp_path):
     assert code == 0
     assert out_file.exists()
     assert not (tmp_path / "ignored.txt").exists()
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("vps ")]
+    assert {argv[1] for argv in examples} == {"solve", "sweep", "figure", "oracle"}
+    parser = build_parser()
+    for argv in examples:
+        parser.parse_args(argv[1:])

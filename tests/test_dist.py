@@ -72,11 +72,6 @@ class TestAtoms:
         with pytest.raises(DomainError):
             FiniteAtoms(((0.0, 0.0), (1.0, 1.0)))  # zero-mass atom
 
-    def test_expect(self):
-        d = FiniteAtoms(((0.0, 0.7), (0.1, 0.2), (0.5, 0.1)))
-        assert d.expect(lambda t: t) == pytest.approx(d.mean())
-        assert d.mean() == pytest.approx(0.07)
-
 
 class TestTilt:
     def test_zero_tilt_matches_base(self):
@@ -123,7 +118,17 @@ class TestLiterals:
         assert isinstance(d, ExponentialTilt) and d.lam == 0.5
 
     @pytest.mark.parametrize(
-        "bad", ["gaussian:0,1", "uniform:1", "atoms:0.5", "tilt:;1", "uniform:a,b"]
+        "bad",
+        [
+            "gaussian:0,1",
+            "uniform:1",
+            "atoms:0.5",
+            "tilt:;1",
+            "uniform:a,b",
+            "uniform:0.6,inf",
+            "uniform:-inf,1",
+            "tilt:uniform:-1,1;nan",
+        ],
     )
     def test_bad_literals(self, bad):
         with pytest.raises(DomainError):

@@ -8,7 +8,6 @@ from vetopersuasion import (
     Exponential,
     Linear,
     Power,
-    SingularityError,
     prefs_from_literal,
 )
 
@@ -48,22 +47,10 @@ def test_domain_guards():
         Exponential(0.0)
 
 
-def test_risk_aversion():
-    assert Linear().risk_aversion(0.5) == 0.0
-    assert Power(2.0).risk_aversion(0.5) == pytest.approx(2.0)
-    assert Exponential(3.0).risk_aversion(0.2) == 3.0
-    with pytest.raises(SingularityError):
-        Power(2.0).risk_aversion(1.0)
-    # CARA families are ordered pointwise by alpha.
-    for a in (0.0, 0.3, 0.9):
-        assert Exponential(0.5).risk_aversion(a) < Exponential(2.0).risk_aversion(a)
-
-
 def test_literals():
     assert prefs_from_literal("linear") == Linear()
     assert prefs_from_literal("power:2") == Power(2.0)
     assert prefs_from_literal("exp:0.5") == Exponential(0.5)
-    with pytest.raises(DomainError):
-        prefs_from_literal("cubic")
-    with pytest.raises(DomainError):
-        prefs_from_literal("power:abc")
+    for bad in ("cubic", "power:abc", "power:nan", "power:inf", "exp:nan"):
+        with pytest.raises(DomainError):
+            prefs_from_literal(bad)
