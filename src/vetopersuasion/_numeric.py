@@ -6,7 +6,10 @@ these helpers and stay independent of the solvers.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Tuple
+
+from .errors import NoRootError
 
 # Bisection stops once the bracket is this narrow, or after _MAX_BISECT steps.
 _S_TOL = 1e-13
@@ -56,3 +59,48 @@ def bisect_rising(
         else:
             lo = mid
     return lo, hi
+
+
+def brentq(f: Callable[[float], float], a: float, b: float,
+           xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Takes secant or inverse quadratic steps while they shrink the bracket
+    fast enough, and bisects otherwise; returns x once the bracket is
+    narrower than xtol + rtol * |x|.  Raises NoRootError when f(a) and
+    f(b) have the same sign, or when maxiter steps do not suffice.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0 or fcur == 0.0:
+        return xpre if fpre == 0.0 else xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise NoRootError(f"f({a!r}) and f({b!r}) have the same sign")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre  # f changes sign between xblk and xcur
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = 0.5 * (xtol + rtol * abs(xcur))
+        sbis = 0.5 * (xblk - xcur)
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = math.inf  # fails the step test below, so bisects
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic through the last three points
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = f(xcur)
+    raise NoRootError(f"no root within tolerance after {maxiter} Brent steps")

@@ -18,7 +18,7 @@ import numpy as np
 from . import closedform, lsolve, oracle, qsolve
 from .accept import BinaryTypeEnv
 from .dist import FiniteAtoms, TypeDistribution, UniformInterval, from_literal, lr_tilt
-from .errors import VetoPersuasionError
+from .errors import DomainError, VetoPersuasionError
 from .prefs import Exponential, Linear, Power
 from .prefs import from_literal as prefs_from_literal
 
@@ -158,7 +158,10 @@ _SWEEPS = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     worker, grid, (dir_s, dir_up) = _SWEEPS[args.kind]
     if args.values:
-        grid = [float(v) for v in args.values.split(",")]
+        try:
+            grid = [float(v) for v in args.values.split(",")]
+        except ValueError as exc:
+            raise DomainError(f"--values takes numbers, got {args.values!r}") from exc
     rows = [worker(g) for g in grid]
 
     def ok(prev: float, cur: float, sense: str) -> bool:
@@ -350,6 +353,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
+        if args.grid is not None and (type(args.grid) is not int or args.grid < 2):
+            raise DomainError(f"--grid takes an integer >= 2, got {args.grid!r}")
         return args.fn(args)
     except VetoPersuasionError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,9 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from scipy.optimize import brentq
-
-from ._numeric import bisect_rising, golden_max
+from ._numeric import bisect_rising, brentq, golden_max
 from .dist import FiniteAtoms, TypeDistribution
 from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences

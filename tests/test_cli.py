@@ -69,6 +69,38 @@ def test_bad_input_exit_code(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "1"),
+        ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1"),
+        ("figure", "1", "--grid", "-3"),
+        ("sweep", "tilt", "--values", "0,x"),
+    ],
+)
+def test_bad_numeric_option_exit_code(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
+def test_solve_extreme_tilt(capsys, timing):
+    code, out, _ = run(
+        capsys, "solve", "quad", timing, "tilt:uniform:-1,1;800", "power:2", "--json"
+    )
+    assert code == 0
+    assert json.loads(out)["regime"] == "IdealAccepted"
+
+
+def test_solve_extreme_atom_tilt(capsys):
+    code, _, _ = run(
+        capsys, "solve", "linear2", "persuasion-first", "tilt:atoms:0.1:.8,0.7:.2;2000", "linear"
+    )
+    assert code in (0, 2)
+
+
 def test_sweep_csv(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "risk-aversion", "--out", str(out))

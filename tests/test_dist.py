@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vetopersuasion import (
     DomainError,
@@ -12,6 +12,42 @@ from vetopersuasion import (
     dist_from_literal,
     lr_tilt,
 )
+from vetopersuasion.dist import _SERIES_U, _tilt_mean_share
+
+
+def _tilt_reference(d, s):
+    """cdf(s), mean, upper_partial_mean(s) and E[theta | theta >= s] of a tilt
+    by adaptive quadrature, each weight shifted so its largest value is 1."""
+    from scipy.integrate import quad
+
+    lo, hi = d.support
+    lam, a = d.lam, max(s, lo)
+
+    def integral(x, y, moment, peak):
+        f = lambda t: (t if moment else 1.0) * math.exp(lam * (t - peak))
+        return quad(f, x, y, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+
+    peak = hi if lam > 0.0 else lo
+    z = integral(lo, hi, False, peak)
+    cdf = integral(lo, a, False, peak) / z
+    upper = integral(a, hi, True, peak) / z
+    peak_above = hi if lam > 0.0 else a
+    den = integral(a, hi, False, peak_above) if a < hi else 0.0
+    cond = integral(a, hi, True, peak_above) / den if den > 0.0 else None
+    return cdf, integral(lo, hi, True, peak) / z, upper, cond
+
+
+def _assert_matches_reference(d, s):
+    cdf, mean, upper, cond = _tilt_reference(d, s)
+    assert d.cdf(s) == pytest.approx(cdf, abs=1e-12)
+    assert d.mean() == pytest.approx(mean, abs=1e-12)
+    assert d.upper_partial_mean(s) == pytest.approx(upper, abs=1e-12)
+    try:
+        got = d.cond_mean_above(s)
+    except FullMassBelowError:
+        assert 1.0 - cdf <= 2e-12
+    else:
+        assert got == pytest.approx(cond, abs=1e-12)
 
 
 class TestUniform:
@@ -96,6 +132,67 @@ class TestTilt:
         assert isinstance(d, FiniteAtoms)
         z = math.exp(-1.0) + math.exp(1.0)
         assert d.points[1][1] == pytest.approx(math.exp(1.0) / z, abs=1e-14)
+
+    def test_atom_tilt_does_not_overflow(self):
+        d = lr_tilt(FiniteAtoms(((0.1, 0.8), (0.7, 0.2))), 1000.0)
+        assert d.points[1][1] == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(DomainError):  # the low atom's weight underflows to 0
+            lr_tilt(FiniteAtoms(((0.1, 0.8), (0.7, 0.2))), 2000.0)
+
+    # Supports as the quad-solve benchmark draws them.
+    @settings(deadline=None)
+    @given(
+        st.floats(-2.0, -0.05),
+        st.floats(0.0, 1.0, exclude_min=True),
+        st.floats(-50.0, 50.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_closed_forms_match_quadrature(self, lo, hi, lam, frac):
+        d = lr_tilt(UniformInterval(lo, hi), lam)
+        _assert_matches_reference(d, lo + frac * (hi - lo))
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-12, -1e-12])
+    def test_near_zero_tilt_matches_base(self, lam):
+        base = UniformInterval(-1.5, 0.8)
+        d = lr_tilt(base, lam)
+        assert d.mean() == pytest.approx(base.mean(), abs=1e-12)
+        for s in (-1.5, -0.7, 0.0, 0.79):
+            assert d.cdf(s) == pytest.approx(base.cdf(s), abs=1e-12)
+            assert d.upper_partial_mean(s) == pytest.approx(base.upper_partial_mean(s), abs=1e-12)
+            assert d.cond_mean_above(s) == pytest.approx(base.cond_mean_above(s), abs=1e-12)
+
+    # lam * (hi - lo) = +-1e-6 * 2.3, and just inside and outside the switch
+    # between the series and the direct form of the conditional mean.
+    @pytest.mark.parametrize(
+        "lam",
+        [1e-6, -1e-6] + [sign * _SERIES_U * (1.0 + eps) / 2.3
+                         for sign in (1.0, -1.0) for eps in (-1e-9, 1e-9)],
+    )
+    def test_small_tilt_and_series_switch_match_quadrature(self, lam):
+        d = lr_tilt(UniformInterval(-1.5, 0.8), lam)
+        for s in (-1.5, -0.7, 0.0, 0.79):
+            _assert_matches_reference(d, s)
+
+    @pytest.mark.parametrize("u", [_SERIES_U, -_SERIES_U])
+    def test_series_switch_is_continuous(self, u):
+        inside = math.nextafter(u, 0.0)
+        assert abs(_tilt_mean_share(inside) - _tilt_mean_share(u)) <= 2e-15
+
+    @pytest.mark.parametrize("lam", [800.0, -800.0])
+    def test_extreme_tilt_is_finite_and_ordered(self, lam):
+        d = lr_tilt(UniformInterval(-1.0, 1.0), lam)
+        xs = [-1.0 + k / 500.0 for k in range(1001)]
+        cdfs = [d.cdf(x) for x in xs]
+        assert all(math.isfinite(c) for c in cdfs)
+        assert all(b >= a for a, b in zip(cdfs, cdfs[1:]))
+        assert math.isfinite(d.mean())
+        for s in xs:
+            assert math.isfinite(d.upper_partial_mean(s))
+            try:
+                m = d.cond_mean_above(s)
+            except FullMassBelowError:
+                continue
+            assert s <= m <= 1.0
 
     def test_tilt_of_tilt_rejected(self):
         d = lr_tilt(UniformInterval(-1.0, 1.0), 1.0)
