@@ -125,27 +125,27 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_risk_row(alpha: float) -> Tuple[float, float, float, float, float]:
-    d = UniformInterval(-1.0, 1.0)
-    r = qsolve.solve_persuasion_first(d, Exponential(alpha))
-    return alpha, r.s_star, r.s_upper, d.cdf(r.s_star), r.value
+def _cutoff_row(param: float, d: TypeDistribution, prefs=Power(2.0)) -> Tuple[float, ...]:
+    # No cutoff (no information, ideal accepted): both posterior means are the prior mean.
+    r = qsolve.solve_persuasion_first(d, prefs)
+    s = r.s_star if r.s_star is not None else d.mean()
+    up = r.s_upper if r.s_upper is not None else d.mean()
+    return param, s, up, d.cdf(s), r.value
 
 
 def _sweep_tilt_row(lam: float) -> Tuple[float, float, float, float, float]:
-    # theta_hi = 0.8 keeps even strongly tilted priors below mean 1/2, so
-    # every row stays in the cutoff regime and the columns are comparable.
+    # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
+    # default rows stay in the cutoff regime and the columns are comparable.
     base = UniformInterval(-1.0, 0.8)
-    d: TypeDistribution = lr_tilt(base, lam) if lam != 0.0 else base
-    r = qsolve.solve_persuasion_first(d, Power(2.0))
-    return lam, r.s_star, r.s_upper, d.cdf(r.s_star), r.value
+    return _cutoff_row(lam, lr_tilt(base, lam) if lam != 0.0 else base)
 
 
 def _sweep_hi_row(hi: float) -> Tuple[float, float, float, float, float]:
-    d = UniformInterval(-1.0, hi)
-    r = qsolve.solve_persuasion_first(d, Power(2.0))
-    s = r.s_star if r.s_star is not None else d.mean()
-    up = r.s_upper if r.s_upper is not None else d.mean()
-    return hi, s, up, d.cdf(s), r.value
+    return _cutoff_row(hi, UniformInterval(-1.0, hi))
+
+
+def _sweep_risk_row(alpha: float) -> Tuple[float, float, float, float, float]:
+    return _cutoff_row(alpha, UniformInterval(-1.0, 1.0), Exponential(alpha))
 
 
 _SWEEPS = {
@@ -296,13 +296,29 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
+    command = next(a for a in parser._actions if a.dest == "command")
+    actions = {a.dest: a for a in command.choices[args.command]._actions}
     for key, val in cfg.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             parser.error(f"unknown config key {key!r}")
         # Explicit CLI flags win over the config file; unset flags are None.
         if getattr(args, attr) is None:
-            setattr(args, attr, val)
+            setattr(args, attr, _config_value(key, val, actions[attr]))
+
+
+def _config_value(key: str, val: object, action: argparse.Action) -> object:
+    """A config value checked as on the command line: a switch takes a JSON
+    bool, any other flag a string (or a typed flag's number) its type accepts."""
+    if action.nargs == 0:  # store_true
+        if isinstance(val, bool):
+            return val
+    elif isinstance(val, str) or (action.type and type(val) in (int, float)):
+        try:
+            return action.type(str(val)) if action.type else val
+        except ValueError:
+            pass
+    raise DomainError(f"config key {key!r} has a bad value {val!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,13 +369,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if args.grid is not None and (type(args.grid) is not int or args.grid < 2):
+        if args.grid is not None and args.grid < 2:
             raise DomainError(f"--grid takes an integer >= 2, got {args.grid!r}")
         return args.fn(args)
-    except VetoPersuasionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (VetoPersuasionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Brute-force verifiers and optimality certificates.
 
-Everything here is deliberately slow and structurally independent of the
-trusted solvers: payoffs are recomputed from the loss primitives, hulls are
-built by pairwise-segment maxima instead of a hull walk, and optima are
-located by exhaustive grids with a golden-section polish.  Agreement with
-the fast paths is the evidence the fast paths are right.
+Everything here is brute force and structurally independent of the trusted
+solvers: payoffs are recomputed from the loss primitives, hulls are built by
+pairwise-segment maxima instead of a hull walk, and optima are located by
+exhaustive grids with a golden-section polish.  The grids are vectorised over
+the loss primitives (``ProposerPreferences.loss_array``), which shares no
+model logic with the solvers.  Agreement with the fast paths is the evidence
+the fast paths are right.
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ from .prefs import ProposerPreferences
 _REFINE_TOL = 1e-10
 
 
-def _indirect(s: float, prefs: ProposerPreferences) -> float:
-    # Recomputed from the loss primitive: the Proposer proposes
-    # min(2s, 1) when that is accepted, else keeps the status quo.
-    if s <= 0.0:
-        return -prefs.loss(1.0)
-    if s >= 0.5:
-        return 0.0
-    return -prefs.loss(1.0 - 2.0 * s)
+def _indirect(s, prefs: ProposerPreferences):
+    # From the loss primitive, elementwise over s (a float for a scalar): the
+    # Proposer proposes min(2s, 1) when that is accepted, else keeps the status quo.
+    return -prefs.loss_array(1.0 - 2.0 * np.clip(s, 0.0, 0.5))
 
 
 def _partition_value(
@@ -70,33 +68,28 @@ def partition_search(
 
     def cell_u(i: np.ndarray, j: np.ndarray) -> np.ndarray:
         mass = F[j] - F[i]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean = np.where(mass > 0.0, (T[i] - T[j]) / np.where(mass > 0, mass, 1.0), 0.0)
-        u = np.array([_indirect(m, prefs) for m in np.atleast_1d(mean)])
-        return np.where(np.atleast_1d(mass) > 0.0, np.atleast_1d(mass) * u, 0.0)
+        mean = np.where(mass > 0.0, (T[i] - T[j]) / np.where(mass > 0, mass, 1.0), 0.0)
+        return np.where(mass > 0.0, mass * _indirect(mean, prefs), 0.0)
 
     best_val = _partition_value(d, prefs, [])
     best_cuts: Tuple[float, ...] = ()
 
     if k_max >= 2:
         idx = np.arange(1, grid_n - 1)
-        vals = cell_u(np.zeros_like(idx), idx) + cell_u(idx, np.full_like(idx, grid_n - 1))
+        # Values of the cells [lo, xs[i]] and [xs[i], hi], one per inner point.
+        low = cell_u(np.zeros_like(idx), idx)
+        top = cell_u(idx, np.full_like(idx, grid_n - 1))
+        vals = low + top
         k = int(np.argmax(vals))
         if vals[k] > best_val:
             best_val, best_cuts = float(vals[k]), (float(xs[idx[k]]),)
 
     if k_max >= 3:
         ii, jj = np.triu_indices(grid_n - 2, k=1)
-        ii, jj = ii + 1, jj + 1
-        vals = (
-            cell_u(np.zeros_like(ii), ii)
-            + cell_u(ii, jj)
-            + cell_u(jj, np.full_like(jj, grid_n - 1))
-        )
+        vals = low[ii] + cell_u(ii + 1, jj + 1) + top[jj]
         k = int(np.argmax(vals))
         if vals[k] > best_val:
-            best_val = float(vals[k])
-            best_cuts = (float(xs[ii[k]]), float(xs[jj[k]]))
+            best_val, best_cuts = float(vals[k]), (float(xs[ii[k] + 1]), float(xs[jj[k] + 1]))
 
     # Coordinate-wise polish around the grid winner.
     step = (hi - lo) / (grid_n - 1)
@@ -131,21 +124,18 @@ def verify_certificate(
     majorize the indirect utility everywhere, touch it at both posterior
     means, and satisfy E[theta | theta >= s_star] = s_upper.
     """
-    lo, hi = d.support
     c1 = prefs.loss(1.0)
     u_up = _indirect(s_upper, prefs)
     if s_upper <= s_star:
         return False, float("inf")
     slope = (u_up + c1) / (s_upper - s_star)
 
-    def price(s: float) -> float:
-        return max(-c1, -c1 + slope * (s - s_star))
+    def price(s):
+        return np.maximum(-c1, -c1 + slope * (s - s_star))
 
-    viol = 0.0
-    for s in np.linspace(lo, hi, grid_n):
-        viol = max(viol, _indirect(s, prefs) - price(s))
-    viol = max(viol, abs(price(s_star) + c1), abs(price(s_upper) - u_up))
-    viol = max(viol, abs(d.cond_mean_above(s_star) - s_upper))
+    viol = float(max(_max_excess(d, prefs, price, grid_n),
+                     abs(price(s_star) + c1), abs(price(s_upper) - u_up),
+                     abs(d.cond_mean_above(s_star) - s_upper)))
     return viol <= 1e-9, viol
 
 
@@ -158,11 +148,15 @@ def verify_no_info_certificate(
         return False, float("inf")
     u_m = _indirect(m, prefs)
     slope = 2.0 * prefs.utility_deriv(2.0 * m)
-    lo, hi = d.support
-    viol = 0.0
-    for s in np.linspace(lo, hi, grid_n):
-        viol = max(viol, _indirect(s, prefs) - (u_m + slope * (s - m)))
+    viol = _max_excess(d, prefs, lambda s: u_m + slope * (s - m), grid_n)
     return viol <= 1e-9, viol
+
+
+def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price, grid_n: int) -> float:
+    """Largest excess of the indirect utility over a price function on a grid
+    of the support: 0 where the price majorizes it, NaN at a NaN point."""
+    s = np.linspace(*d.support, grid_n)
+    return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
 
 def concave_envelope_oracle(points: Sequence[Tuple[float, float]]) -> Envelope:
@@ -228,8 +222,7 @@ def binary_signal_search_atoms(
     breaks = np.array(sorted({0.0, *(t for t in th if 0.0 < t < p_bar), p_bar}))
 
     g = np.linspace(0.0, 1.0, grid_n)
-    s0, s1, s2 = np.meshgrid(g, g, g, indexing="ij")
-    sig = np.stack([s0.ravel(), s1.ravel(), s2.ravel()], axis=1)
+    sig = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
 
     def signal_values(sigma: np.ndarray) -> np.ndarray:
         # Expected payoff contributed by one signal whose send-probability
@@ -249,13 +242,10 @@ def binary_signal_search_atoms(
             lo_v, hi_v = A[:, m - 1], A[:, m]
             hit = (~done) & (lo_v >= 0.0) & (hi_v < 0.0)
             with np.errstate(invalid="ignore", divide="ignore"):
-                root = breaks[m - 1] + lo_v * (breaks[m] - breaks[m - 1]) / (
-                    lo_v - hi_v
-                )
+                root = breaks[m - 1] + lo_v * (breaks[m] - breaks[m - 1]) / (lo_v - hi_v)
             p[hit] = root[hit]
             done |= hit
-        u = np.array([-prefs.loss(1.0 - pi) for pi in p])
-        return np.where(mass > 1e-15, mass * u, 0.0)
+        return np.where(mass > 1e-15, mass * -prefs.loss_array(1.0 - p), 0.0)
 
     total = signal_values(sig) + signal_values(1.0 - sig)
     k = int(np.argmax(total))

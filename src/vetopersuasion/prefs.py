@@ -41,6 +41,19 @@ class ProposerPreferences(ABC):
             raise DomainError(f"loss argument must be >= 0, got {x}")
         return self._loss(x)
 
+    def loss_array(self, x):
+        """``loss`` elementwise on a numpy array, under the same domain guard.
+        A 0-d argument takes the scalar formula, bit-identical to ``loss``."""
+        import numpy as np
+
+        x = np.array(x, dtype=float)
+        if (x < 0.0).any():
+            raise DomainError(f"loss argument must be >= 0, got {x.min()}")
+        return self._loss(float(x)) if x.ndim == 0 else self._loss_array(x)
+
+    def _loss_array(self, x):
+        return self._loss(x)  # the Linear and Power formulas are elementwise
+
     def loss_deriv(self, x: float) -> float:
         if x < 0.0:
             raise DomainError(f"loss argument must be >= 0, got {x}")
@@ -94,6 +107,10 @@ class Exponential(ProposerPreferences):
 
     def _loss(self, x: float) -> float:
         return math.expm1(self.alpha * x) / self.alpha
+
+    def _loss_array(self, x):
+        import numpy as np
+        return np.expm1(self.alpha * x) / self.alpha
 
     def _loss_deriv(self, x: float) -> float:
         return math.exp(self.alpha * x)

@@ -117,6 +117,18 @@ def test_sweep_custom_values(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+@pytest.mark.parametrize("values", ["2.5", "3"])
+def test_sweep_tilt_without_a_cutoff(capsys, values):
+    # Tilts this strong put the prior in a regime with no cutoff; the row
+    # reports the prior mean instead of crashing.
+    code, out, err = run(capsys, "sweep", "tilt", "--values", values)
+    assert code in (0, 3)
+    assert err == ""
+    lines = out.strip().splitlines()
+    assert lines[0] == "parameter,s_star,s_upper,F_s_star,value,monotone"
+    assert len(lines) == 2 and all(cell for cell in lines[1].split(","))
+
+
 def test_figure_csv(capsys, tmp_path):
     out = tmp_path / "fig1.csv"
     code, _, _ = run(capsys, "figure", "1", "--out", str(out), "--grid", "5")
@@ -173,6 +185,23 @@ def test_config_flag_precedence(capsys, tmp_path):
     assert code == 0
     assert out_file.exists()
     assert not (tmp_path / "ignored.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "cfg,argv",
+    [
+        ({"values": 5}, ("sweep", "tilt")),
+        ({"tol": "x"}, ("oracle", "quad", "uniform:-1,1", "power:2")),
+        ({"json": "no"}, ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
+    ],
+)
+def test_config_bad_value_exit_code(capsys, tmp_path, cfg, argv):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, *argv, "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_readme_cli_examples_parse():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from vetopersuasion import (
     BinaryTypeEnv,
     DomainError,
+    Exponential,
     Linear,
     Power,
     UniformInterval,
@@ -15,6 +17,7 @@ from vetopersuasion import (
     uhat,
 )
 from vetopersuasion.oracle import (
+    _indirect,
     binary_signal_search_atoms,
     concave_envelope_oracle,
     partition_search,
@@ -132,3 +135,23 @@ def test_oracle_never_beats_trusted_solver():
         trusted = solve_persuasion_first(d, prefs).value
         v, _ = partition_search(d, prefs, k_max=3, grid_n=200)
         assert v <= trusted + 1e-6
+
+
+@given(
+    st.one_of(
+        st.just(LIN),
+        st.floats(1.0, 3.0).map(Power),
+        st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
+    ),
+    st.floats(-2.0, 0.4),
+    st.floats(0.05, 2.0),
+    st.integers(2, 300),
+)
+def test_indirect_on_an_array_matches_its_points(prefs, lo, width, n):
+    s = np.linspace(lo, lo + width, n)
+    points = [_indirect(float(x), prefs) for x in s]
+    assert all(type(u) is float for u in points)
+    np.testing.assert_allclose(_indirect(s, prefs), points, rtol=1e-14, atol=0.0)
+    # Pieces: the status quo at or below 0, the ideal at or above 1/2.
+    assert _indirect(min(lo, 0.0), prefs) == -prefs.loss(1.0)
+    assert _indirect(max(lo + width, 0.5), prefs) == 0.0

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,6 +13,11 @@ from vetopersuasion import (
 )
 
 FAMILIES = [Linear(), Power(1.5), Power(2.0), Power(3.0), Exponential(0.5), Exponential(2.0)]
+LOSSES = st.one_of(
+    st.just(Linear()),
+    st.floats(1.0, 3.0).map(Power),
+    st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
+)
 
 
 def test_loss_values():
@@ -54,3 +60,25 @@ def test_literals():
     for bad in ("cubic", "power:abc", "power:nan", "power:inf", "exp:nan"):
         with pytest.raises(DomainError):
             prefs_from_literal(bad)
+
+
+@given(LOSSES, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
+def test_loss_array_matches_loss(prefs, xs):
+    # numpy's vector math may round differently from the scalar libm call.
+    got = prefs.loss_array(np.array(xs))
+    assert got.shape == (len(xs),)
+    np.testing.assert_allclose(got, [prefs.loss(x) for x in xs], rtol=1e-14, atol=0.0)
+    # A single point takes the scalar formula exactly.
+    assert prefs.loss_array(xs[0]) == prefs.loss(xs[0])
+
+
+@given(
+    LOSSES,
+    st.lists(st.floats(0.0, 10.0), max_size=20),
+    st.floats(-10.0, 0.0, exclude_max=True),
+    st.data(),
+)
+def test_loss_array_rejects_any_negative_entry(prefs, xs, bad, data):
+    xs.insert(data.draw(st.integers(0, len(xs))), bad)
+    with pytest.raises(DomainError):
+        prefs.loss_array(np.array(xs))
