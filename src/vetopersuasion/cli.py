@@ -125,26 +125,28 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cutoff_row(param: float, d: TypeDistribution, prefs=Power(2.0)) -> Tuple[float, ...]:
-    # No cutoff (no information, ideal accepted): both posterior means are the prior mean.
+def _cutoff_row(param: float, d: TypeDistribution, prefs=Power(2.0)) -> Tuple:
+    """(param, s_star, s_upper, F(s_star), value, has_cutoff).  Without a
+    cutoff (no information, ideal accepted) both posterior means are the
+    prior mean."""
     r = qsolve.solve_persuasion_first(d, prefs)
     s = r.s_star if r.s_star is not None else d.mean()
     up = r.s_upper if r.s_upper is not None else d.mean()
-    return param, s, up, d.cdf(s), r.value
+    return param, s, up, d.cdf(s), r.value, r.s_star is not None
 
 
-def _sweep_tilt_row(lam: float) -> Tuple[float, float, float, float, float]:
+def _sweep_tilt_row(lam: float) -> Tuple:
     # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
     # default rows stay in the cutoff regime and the columns are comparable.
     base = UniformInterval(-1.0, 0.8)
     return _cutoff_row(lam, lr_tilt(base, lam) if lam != 0.0 else base)
 
 
-def _sweep_hi_row(hi: float) -> Tuple[float, float, float, float, float]:
+def _sweep_hi_row(hi: float) -> Tuple:
     return _cutoff_row(hi, UniformInterval(-1.0, hi))
 
 
-def _sweep_risk_row(alpha: float) -> Tuple[float, float, float, float, float]:
+def _sweep_risk_row(alpha: float) -> Tuple:
     return _cutoff_row(alpha, UniformInterval(-1.0, 1.0), Exponential(alpha))
 
 
@@ -167,18 +169,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     def ok(prev: float, cur: float, sense: str) -> bool:
         return cur <= prev + 1e-9 if sense == "<=" else cur >= prev - 1e-9
 
+    # Only two neighbouring rows that both have a cutoff are compared; a row
+    # without one has no monotone verdict ("n/a") and never fails the sweep.
     out_rows: List[Sequence] = []
-    for i, (p, s, up, fs, v) in enumerate(rows):
-        verdict = "pass"
-        if i > 0:
-            _, s0, up0, _, _ = rows[i - 1]
-            if not (ok(s0, s, dir_s) and ok(up0, up, dir_up)):
+    for i, (p, s, up, fs, v, cut) in enumerate(rows):
+        verdict = "pass" if cut else "n/a"
+        if cut and i > 0:
+            _, s0, up0, _, _, cut0 = rows[i - 1]
+            if cut0 and not (ok(s0, s, dir_s) and ok(up0, up, dir_up)):
                 verdict = "fail"
         out_rows.append([p, s, up, fs, v, verdict])
     _write_csv(
         out_rows, ["parameter", "s_star", "s_upper", "F_s_star", "value", "monotone"], args.out
     )
-    return 0 if all(r[-1] == "pass" for r in out_rows) else 3
+    return 3 if any(r[-1] == "fail" for r in out_rows) else 0
 
 
 def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:

@@ -104,6 +104,13 @@ class Exponential(ProposerPreferences):
     def __post_init__(self) -> None:
         if not math.isfinite(self.alpha) or self.alpha <= 0.0:
             raise DomainError(f"CARA coefficient must be finite and > 0, got {self.alpha}")
+        # The models evaluate the loss on [0, 1] only; it must stay finite there.
+        try:
+            finite = math.isfinite(self._loss(1.0)) and math.isfinite(self._loss_deriv(1.0))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise DomainError(f"CARA coefficient {self.alpha} overflows the loss on [0, 1]")
 
     def _loss(self, x: float) -> float:
         return math.expm1(self.alpha * x) / self.alpha

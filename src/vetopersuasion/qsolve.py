@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from ._numeric import bisect_rising, brentq, golden_max
-from .dist import FiniteAtoms, TypeDistribution
+from .dist import FiniteAtoms, TypeDistribution, UniformInterval
 from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
 
@@ -101,8 +101,8 @@ def solve_cutoff(
 ) -> Tuple[float, float]:
     """The optimal cutoff s_star in [theta_lo, 0] and s_upper = E[theta|theta>=s_star].
 
-    Bisection on z(s) = E[theta | theta >= s] - t(s), where t(s) is the
-    tangency (or corner) point of the supporting line anchored at
+    Brent's method on z(s) = E[theta | theta >= s] - t(s), where t(s) is
+    the tangency (or corner) point of the supporting line anchored at
     (s, -c(1)).  z is negative at theta_lo whenever no information is
     suboptimal and positive near 0, so the bracket is guaranteed.
     """
@@ -121,8 +121,7 @@ def solve_cutoff(
             "no interior cutoff: no information is optimal for this instance"
         )
 
-    lo, hi = bisect_rising(z, 0.0, theta_lo, 0.0)
-    s_star = 0.5 * (lo + hi)
+    s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
     return s_star, d.cond_mean_above(s_star)
 
 
@@ -165,12 +164,16 @@ def solve_persuasion_first(
 
 
 def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:
-    """Smallest s with E[theta | theta >= s] >= target_mean (bisection)."""
+    """Smallest s with E[theta | theta >= s] >= target_mean, at most just
+    below theta_hi: exact for a uniform prior, whose E[theta | theta >= s]
+    is (s + theta_hi) / 2, and by bisection otherwise."""
     theta_lo, theta_hi = d.support
     if d.cond_mean_above(theta_lo) >= target_mean:
         return theta_lo
-    hi = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
-    return bisect_rising(d.cond_mean_above, target_mean, theta_lo, hi)[1]
+    cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
+    if isinstance(d, UniformInterval):
+        return min(2.0 * target_mean - theta_hi, cap)
+    return bisect_rising(d.cond_mean_above, target_mean, theta_lo, cap)[1]
 
 
 def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences, p: float) -> float:

@@ -76,6 +76,8 @@ def test_bad_input_exit_code(capsys):
         ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1"),
         ("figure", "1", "--grid", "-3"),
         ("sweep", "tilt", "--values", "0,x"),
+        # exp(800) overflows a float, so the loss is not finite on [0, 1].
+        ("solve", "quad", "persuasion-first", "uniform:-1,1", "exp:800"),
     ],
 )
 def test_bad_numeric_option_exit_code(capsys, argv):
@@ -83,6 +85,13 @@ def test_bad_numeric_option_exit_code(capsys, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
+def test_solve_large_cara_loss(capsys, timing):
+    # exp(700) is still finite: it solves or fails with an input error.
+    code, _, _ = run(capsys, "solve", "quad", timing, "uniform:-1,1", "exp:700")
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
@@ -127,6 +136,19 @@ def test_sweep_tilt_without_a_cutoff(capsys, values):
     lines = out.strip().splitlines()
     assert lines[0] == "parameter,s_star,s_upper,F_s_star,value,monotone"
     assert len(lines) == 2 and all(cell for cell in lines[1].split(","))
+
+
+def test_sweep_across_regimes(capsys):
+    # Tilts 2.5 and 3 have no cutoff: they get no verdict and fail nothing.
+    code, out, _ = run(capsys, "sweep", "tilt", "--values", "0,1,2.5,3")
+    assert code == 0
+    verdicts = [line.rsplit(",", 1)[1] for line in out.strip().splitlines()[1:]]
+    assert verdicts == ["pass", "pass", "n/a", "n/a"]
+    # Two neighbouring rows with cutoffs are still compared.
+    code, out, _ = run(capsys, "sweep", "tilt", "--values", "2.5,1,0")
+    assert code == 3
+    verdicts = [line.rsplit(",", 1)[1] for line in out.strip().splitlines()[1:]]
+    assert verdicts == ["n/a", "pass", "fail"]
 
 
 def test_figure_csv(capsys, tmp_path):

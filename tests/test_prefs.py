@@ -57,7 +57,7 @@ def test_literals():
     assert prefs_from_literal("linear") == Linear()
     assert prefs_from_literal("power:2") == Power(2.0)
     assert prefs_from_literal("exp:0.5") == Exponential(0.5)
-    for bad in ("cubic", "power:abc", "power:nan", "power:inf", "exp:nan"):
+    for bad in ("cubic", "power:abc", "power:nan", "power:inf", "exp:nan", "exp:800"):
         with pytest.raises(DomainError):
             prefs_from_literal(bad)
 

@@ -6,6 +6,7 @@ from vetopersuasion import (
     AssumptionViolatedError,
     Exponential,
     FiniteAtoms,
+    FullMassBelowError,
     Linear,
     NoRootError,
     Power,
@@ -19,8 +20,10 @@ from vetopersuasion import (
     solve_persuasion_first,
     solve_proposal_first,
 )
+from vetopersuasion._numeric import bisect_rising
 from vetopersuasion.closedform import u_bi
 from vetopersuasion.oracle import _partition_value
+from vetopersuasion.qsolve import _acceptance_cutoff, _tangency_point
 
 U11 = UniformInterval(-1.0, 1.0)
 SQ = Power(2.0)
@@ -121,3 +124,79 @@ def test_timing_equivalence_spot():
 def test_no_cutoff_beats_solver(cut):
     value = _partition_value(U11, SQ, [cut])
     assert value <= -11.0 / 27.0 + 1e-9
+
+
+# Supports drawn as the quad-solve benchmark draws them.
+UNIFORMS = st.builds(
+    UniformInterval, st.floats(-2.0, -0.05), st.floats(0.0, 1.0, exclude_min=True)
+)
+TILTS = st.builds(lr_tilt, UNIFORMS, st.floats(-3.0, 3.0))
+LOSSES = st.one_of(
+    st.just(Linear()),
+    st.floats(1.0, 3.0).map(Power),
+    st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
+)
+
+
+def _bisected_acceptance_cutoff(d, target):
+    theta_lo, theta_hi = d.support
+    if d.cond_mean_above(theta_lo) >= target:
+        return theta_lo
+    cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
+    return bisect_rising(d.cond_mean_above, target, theta_lo, cap)[1]
+
+
+@settings(max_examples=300)
+@given(UNIFORMS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_uniform_acceptance_cutoff_matches_bisection(d, frac):
+    mean, hi = d.mean(), d.support[1]
+    target = mean + frac * (hi - mean)
+    try:
+        expected = _bisected_acceptance_cutoff(d, target)
+    except FullMassBelowError:
+        # Bisection probed the last 1e-12 of mass; the closed form needs no probe.
+        assert 1.0 - d.cdf(_acceptance_cutoff(d, target)) <= 1e-11
+        return
+    assert _acceptance_cutoff(d, target) == pytest.approx(expected, abs=1e-12)
+
+
+def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
+    calls = []
+    plain = UniformInterval.cond_mean_above
+
+    def counted(self, s):
+        calls.append(s)
+        return plain(self, s)
+
+    monkeypatch.setattr(UniformInterval, "cond_mean_above", counted)
+    d = UniformInterval(-1.0, 0.8)
+    for target in (-0.5, 0.0, 0.1, 0.4, 0.79, 0.8):
+        calls.clear()
+        _acceptance_cutoff(d, target)
+        assert len(calls) <= 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(UNIFORMS, TILTS), LOSSES)
+def test_solve_cutoff_matches_bisection(d, prefs):
+    theta_lo = d.support[0]
+
+    def z(s):
+        return d.cond_mean_above(s) - _tangency_point(s, prefs)
+
+    try:
+        z0 = z(0.0)
+    except FullMassBelowError:  # hi so small that no mass is left above 0
+        with pytest.raises(FullMassBelowError):
+            solve_cutoff(d, prefs)
+        return
+    if z0 <= 0.0:
+        assert solve_cutoff(d, prefs) == (0.0, d.cond_mean_above(0.0))
+    elif z(theta_lo) >= 0.0:
+        with pytest.raises(NoRootError):
+            solve_cutoff(d, prefs)
+    else:
+        lo, hi = bisect_rising(z, 0.0, theta_lo, 0.0)
+        s_star, s_upper = solve_cutoff(d, prefs)
+        assert s_star == pytest.approx(0.5 * (lo + hi), abs=1e-12)
+        assert s_upper == d.cond_mean_above(s_star)
