@@ -2,14 +2,17 @@
 
 With two atoms {ell, h} a belief is the probability mu on the high type,
 and the persuasion-first problem concavifies the indirect utility
-Uhat(mu) = -c(1 - psi(mu)) over mu in [0, 1].  The proposal-first problem
-maximizes Utilde(p), the best payoff from committing to p and then
+Uhat(mu) = -c(1 - psi(mu)) over four exact beliefs, not a grid (two states
+need at most two posteriors: Kamenica & Gentzkow 2011).  The proposal-first
+problem maximizes Utilde(p), the best payoff from committing to p and then
 choosing the acceptance-maximizing signal.  Three-atom instances are
 handled through a restricted parametric family of binary signals.
 """
 
 from __future__ import annotations
 
+import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -67,52 +70,36 @@ def concavify(
     """
     if len(points) < 2:
         raise DegenerateGridError("concavification needs at least 2 points")
-    pts = sorted(points)
-    # Deduplicate mu, keeping the highest value.
-    dedup: List[Tuple[float, float]] = []
-    for x, y in pts:
-        if dedup and x == dedup[-1][0]:
-            dedup[-1] = (x, max(dedup[-1][1], y))
-        else:
-            dedup.append((x, y))
+    # One point per mu, the highest: sorted by (mu, value), the last one wins.
+    dedup = list(dict(sorted(points)).items())
     if len(dedup) < 2:
         raise DegenerateGridError("concavification needs at least 2 distinct mu")
     if not dedup[0][0] <= mu0 <= dedup[-1][0]:
         raise DomainError(f"mu0={mu0} outside the grid span")
 
-    # Monotone-chain upper hull.  Collinear points stay on the hull so the
-    # supports at mu0 are the nearest contact points, not the far ends of a
-    # flat stretch.
+    # Monotone-chain upper hull.  A point leaves it only when it lies below its
+    # neighbours' chord by over 1e-12 of the value range plus 8 ulps: collinear
+    # points stay, rounded or not, so the supports are the nearest contacts.
+    ys = [y for _, y in dedup]
+    tol = 1e-12 * (max(ys) - min(ys)) + 8.0 * sys.float_info.epsilon * max(map(abs, ys))
     hull: List[Tuple[float, float]] = []
     for p in dedup:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) > 1e-12:
-                hull.pop()
-            else:
+            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= tol * (p[0] - x1):
                 break
+            hull.pop()
         hull.append(p)
 
     env = Envelope(tuple(hull))
 
-    xs = [p[0] for p in hull]
-    k = int(np.searchsorted(xs, mu0, side="right")) - 1
-    k = max(0, min(k, len(hull) - 2))
-    (xa, ya), (xb, yb) = hull[k], hull[k + 1]
-    if mu0 == xa or len(hull) == 1:
+    k = bisect_right([x for x, _ in hull], mu0) - 1  # hull[k][0] <= mu0
+    xa, ya = hull[k]
+    if mu0 == xa:
         return env, ya, ((xa, 1.0),)
-    if mu0 == xb:
-        return env, yb, ((xb, 1.0),)
+    xb, yb = hull[k + 1]
     w = (xb - mu0) / (xb - xa)
     return env, w * ya + (1.0 - w) * yb, ((xa, w), (xb, 1.0 - w))
-
-
-def _uhat_grid(env: BinaryTypeEnv, prefs: ProposerPreferences, n: int = 4001):
-    mus = set(np.linspace(0.0, 1.0, n).tolist())
-    for kink in (phi_threshold(env, env.h), phi_threshold(env, env.p_bar), env.mu0):
-        if 0.0 <= kink <= 1.0:
-            mus.add(float(kink))
-    return [(mu, uhat(env, prefs, mu)) for mu in sorted(mus)]
 
 
 def solve_persuasion_first_binary(
@@ -120,21 +107,35 @@ def solve_persuasion_first_binary(
 ) -> BinarySolveOutcome:
     """Optimal experiment-then-proposal outcome with two atom types.
 
-    No information is optimal exactly when mu0 >= max(0, phi(h)); below
-    that threshold the indirect utility is strictly below its envelope and
-    a binary posterior split is used.
+    The hull of uhat at mu in {0, mu0, t, 1} gives the value, posteriors
+    and regime (one support: NoInfo, two: Split).  Let p = min(h, p_bar),
+    k = phi(p), u(a) = -c(1 - a) and A = c''/c'.  On [k, 1] psi is affine,
+    then flat, and the kinks at phi(h) (psi' drops from 2 (h - ell)^2 / ell
+    to 2 (h - ell)) and phi(p_bar) are concave, so uhat is concave.  On
+    [0, k) psi = 2 ell (1 - mu) / (1 - 2 mu) and uhat'' has the sign of
+    2 (1 - 2 mu) - ell A(1 - psi), which falls as mu rises (A is 0,
+    (gamma - 1)/x or alpha): uhat is convex, then concave.  So the secant
+    slope S(m) = (uhat(m) - uhat(0)) / m rises, then falls on (0, k], with
+    peak t; none lies past k, as c is convex: S(k) >= c'(1 - p)(p - 2 ell)/k
+    >= uhat'(k+).  The envelope is the line from 0 to t, then uhat: mu0 < t
+    splits {0, t}, else mu0 stays a hull vertex.  S still rises at k, and
+    t = k exactly, when k c'(1 - p) p^2 / (2 (1 - k)^2) >= ell (uhat(k) -
+    uhat(0)), as ell psi' = psi^2 / (2 (1 - mu)^2): on every Linear
+    instance, and for ell = 0, where psi jumps from 0 to p at k = 1/2 (no
+    division by 1 - 2k).  Else golden-section search finds t, and k wins
+    what it cannot resolve (c'(0) = 0, p = 1, tiny ell: t ~ k - ell^2/4).
+    k <= 0 leaves uhat concave on [0, 1], and t = 0.
     """
-    mu0 = env.mu0
-    if mu0 >= max(0.0, phi_threshold(env, env.h)):
-        return BinarySolveOutcome(
-            uhat(env, prefs, mu0), ((mu0, 1.0, psi_cap(env, mu0)),), "NoInfo"
-        )
-    _, value, supports = concavify(_uhat_grid(env, prefs), mu0)
-    if len(supports) == 1:
-        mu, _ = supports[0]
-        return BinarySolveOutcome(value, ((mu, 1.0, psi_cap(env, mu)),), "NoInfo")
+    mu0, k = env.mu0, phi_threshold(env, min(env.h, env.p_bar))
+    t = max(k, 0.0)
+    u0, ut, psi = uhat(env, prefs, 0.0), uhat(env, prefs, t), psi_cap(env, t)
+    if t * prefs.loss_deriv(1.0 - psi) * psi**2 / (2.0 * (1.0 - t) ** 2) < env.ell * (ut - u0):
+        peak, s = golden_max(lambda m: (uhat(env, prefs, m) - u0) / m, 0.0, k, _GOLDEN_TOL)
+        t = peak if s > (ut - u0) / k else k
+    points = [(mu, uhat(env, prefs, mu)) for mu in (0.0, mu0, t, 1.0)]
+    _, value, supports = concavify(points, mu0)
     posteriors = tuple((mu, w, psi_cap(env, mu)) for mu, w in supports)
-    return BinarySolveOutcome(value, posteriors, "Split")
+    return BinarySolveOutcome(value, posteriors, "NoInfo" if len(supports) == 1 else "Split")
 
 
 def utilde(env: BinaryTypeEnv, prefs: ProposerPreferences, p: float) -> float:

@@ -112,12 +112,14 @@ class Exponential(ProposerPreferences):
         if not finite:
             raise DomainError(f"CARA coefficient {self.alpha} overflows the loss on [0, 1]")
 
+    # For alpha < 2**-52 the loss rounds to x on [0, 1], and expm1(alpha x)
+    # / alpha is a step function once alpha x is subnormal: return x there.
     def _loss(self, x: float) -> float:
-        return math.expm1(self.alpha * x) / self.alpha
+        return x if self.alpha < 2.0**-52 else math.expm1(self.alpha * x) / self.alpha
 
     def _loss_array(self, x):
         import numpy as np
-        return np.expm1(self.alpha * x) / self.alpha
+        return x if self.alpha < 2.0**-52 else np.expm1(self.alpha * x) / self.alpha
 
     def _loss_deriv(self, x: float) -> float:
         return math.exp(self.alpha * x)
@@ -128,14 +130,11 @@ def from_literal(text: str) -> ProposerPreferences:
     text = text.strip()
     if text == "linear":
         return Linear()
-    if text.startswith("power:"):
-        try:
-            return Power(float(text[len("power:"):]))
-        except ValueError as exc:
-            raise DomainError(f"bad power literal {text!r}") from exc
-    if text.startswith("exp:"):
-        try:
-            return Exponential(float(text[len("exp:"):]))
-        except ValueError as exc:
-            raise DomainError(f"bad exponential literal {text!r}") from exc
+    for prefix, family, kind in (("power:", Power, "power"), ("exp:", Exponential, "exponential")):
+        if text.startswith(prefix):
+            try:
+                arg = float(text[len(prefix):])
+            except ValueError as exc:
+                raise DomainError(f"bad {kind} literal {text!r}") from exc
+            return family(arg)  # its DomainError names the reason
     raise DomainError(f"unrecognized loss literal {text!r}")

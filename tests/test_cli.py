@@ -87,6 +87,28 @@ def test_bad_numeric_option_exit_code(capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "loss, reason",
+    [("exp:800", "overflows the loss"), ("power:0.5", "gamma >= 1")],
+)
+def test_bad_loss_names_the_reason(capsys, loss, reason):
+    code, out, err = run(capsys, "solve", "quad", "persuasion-first", "uniform:-1,1", loss)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and reason in err
+
+
+def test_oracle_linear2_tiny_scale(capsys):
+    # At this scale an absolute hull tolerance made persuasion-first
+    # lose to proposal-first (timing-order FAIL, exit 3).
+    code, out, _ = run(
+        capsys, "oracle", "linear2",
+        "atoms:9.030187855084931e-05:0.73235894692613523,"
+        "0.00034729390625454215:0.26764105307386477", "linear",
+    )
+    assert code == 0
+    assert "PASS timing-order" in out
+
+
 @pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
 def test_solve_large_cara_loss(capsys, timing):
     # exp(700) is still finite: it solves or fails with an input error.

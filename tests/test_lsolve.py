@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vetopersuasion import (
     AssumptionViolatedError,
     BinaryTypeEnv,
     DegenerateGridError,
+    DomainError,
+    Exponential,
     Linear,
     Power,
     concavify,
@@ -17,10 +20,19 @@ from vetopersuasion import (
     uhat,
     utilde,
 )
+from vetopersuasion.oracle import concave_envelope_oracle
 
 LIN = Linear()
 EX1 = BinaryTypeEnv(0.1, 0.7, 0.2)  # phi(h) = 5/12, phi(1) = 2/3
 FIG5 = lambda mu0: BinaryTypeEnv(0.15, 0.7, mu0)  # noqa: E731
+# Two atoms at a tiny scale (h = 3.5e-4) where an absolute hull tolerance
+# kept non-hull points and persuasion-first fell below proposal-first.
+TINY = BinaryTypeEnv(9.030187855084931e-05, 0.00034729390625454215, 0.26764105307386477)
+LOSSES = st.one_of(
+    st.just(LIN),
+    st.floats(1.0, 6.0).map(Power),
+    st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
+)
 
 
 def test_uhat_values():
@@ -38,9 +50,19 @@ class TestConcavify:
         assert all(env.value(x) == pytest.approx(y, abs=1e-12) for x, y in pts)
 
     def test_tent(self):
-        env, val, supports = concavify([(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)], 0.25)
-        assert val == pytest.approx(0.5)
-        assert {mu for mu, _ in supports} == {0.0, 0.5}
+        for scale in (1.0, 1e-9, 1e9):  # the hull does not depend on the value scale
+            env, val, supports = concavify([(0.0, 0.0), (0.5, scale), (1.0, 0.0)], 0.25)
+            assert val == pytest.approx(0.5 * scale)
+            assert {mu for mu, _ in supports} == {0.0, 0.5}
+
+    def test_tiny_scale_grid_hull(self):
+        # The hull tolerance follows the value range (5e-4 here), so the
+        # grid's non-hull points leave the hull and the split is found.
+        grid = [(m, uhat(TINY, LIN, m)) for m in np.linspace(0.0, 1.0, 4001)]
+        _, val, supports = concavify(grid + [(TINY.mu0, uhat(TINY, LIN, TINY.mu0))], TINY.mu0)
+        assert len(supports) == 2
+        assert val >= solve_proposal_first_binary(TINY, LIN)[1]
+        assert val == pytest.approx(-0.999682, abs=1e-6)
 
     def test_degenerate(self):
         with pytest.raises(DegenerateGridError):
@@ -98,6 +120,51 @@ class TestPersuasionFirstBinary:
         ]
         _, split_val, _ = concavify(grid, mu_b)
         assert abs(r.value - split_val) <= 1e-9
+
+    def test_tiny_scale_beats_proposal_first(self):
+        r = solve_persuasion_first_binary(TINY, LIN)
+        assert r.regime == "Split"
+        assert r.value >= solve_proposal_first_binary(TINY, LIN)[1] - 1e-10
+
+    @pytest.mark.parametrize(
+        "env", [EX1, TINY, BinaryTypeEnv(2.593991807852706e-07, 5.230432808774323e-07, 1e-3)]
+    )
+    def test_linear_split_is_at_phi_h_exactly(self, env):
+        # A Linear uhat is convex below phi(h), so the secant from 0 still
+        # rises there; at a tiny scale a search could not tell this apart.
+        r = solve_persuasion_first_binary(env, LIN)
+        assert r.posteriors[1][0] == phi_threshold(env, env.h)
+
+    def test_interior_tangency(self):
+        # Power(2), ell = 1/4: uhat turns concave before phi(h) = 4/13, and
+        # the secant from (0, uhat(0)) touches it at t = 3/10.
+        env = BinaryTypeEnv(0.25, 0.9, 0.15)
+        assert phi_threshold(env, env.h) == pytest.approx(4.0 / 13.0, abs=1e-15)
+        r = solve_persuasion_first_binary(env, Power(2.0))
+        assert r.regime == "Split"
+        assert r.value == pytest.approx(-0.1328125, abs=1e-12)
+        (mu_a, w_a, _), (mu_b, w_b, _) = r.posteriors
+        assert mu_a == 0.0 and mu_b == pytest.approx(0.3, abs=1e-8)
+        assert w_a == pytest.approx(0.5, abs=1e-8) and w_b == pytest.approx(0.5, abs=1e-8)
+        past = solve_persuasion_first_binary(BinaryTypeEnv(0.25, 0.9, 0.305), Power(2.0))
+        assert past.regime == "NoInfo"
+
+    @pytest.mark.parametrize(
+        "env, prefs",
+        [
+            (EX1, LIN),
+            (TINY, LIN),
+            (BinaryTypeEnv(0.25, 0.9, 0.15), Power(2.0)),  # interior tangency
+            (BinaryTypeEnv(0.0, 0.3, 0.2), Power(4.0)),  # ell = 0: psi jumps at 1/2
+            (BinaryTypeEnv(0.3, 1.5, 0.1), Exponential(3.0)),  # h > 1: k = phi(p_bar)
+            (TINY, Exponential(3.0)),
+        ],
+    )
+    def test_matches_envelope_oracle(self, env, prefs):
+        r = solve_persuasion_first_binary(env, prefs)
+        mus = {*np.linspace(0.0, 1.0, 101).tolist(), env.mu0, *(mu for mu, _, _ in r.posteriors)}
+        oracle_env = concave_envelope_oracle([(m, uhat(env, prefs, m)) for m in mus])
+        assert oracle_env.value(env.mu0) == pytest.approx(r.value, abs=1e-12)
 
     def test_mixture_consistency(self):
         r = solve_persuasion_first_binary(EX1, LIN)
@@ -167,6 +234,32 @@ def test_proposal_first_rejects_non_quasiconvex_ratio():
         env = BinaryTypeEnv(0.1, 0.7, 0.3)
         with pytest.raises(AssumptionViolatedError):
             solve_proposal_first_binary(env, prefs)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    LOSSES,
+    st.floats(-9.0, 0.5).map(lambda e: 10.0 ** e),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0),
+)
+# The secant peaks within ell^2 of k, closer than the search resolves.
+@example(Power(2.0), 1.0, 1e-10, 0.25)
+# expm1(alpha x) / alpha is a step function for a subnormal alpha.
+@example(Exponential(5e-324), 10.0 ** -0.5, 0.0, 0.5)
+def test_persuasion_first_binary_property(prefs, h, ell_share, mu0):
+    assume(ell_share * h < h)
+    env = BinaryTypeEnv(ell_share * h, h, mu0)
+    r = solve_persuasion_first_binary(env, prefs)
+    assert sum(w for _, w, _ in r.posteriors) == pytest.approx(1.0, abs=1e-12)
+    assert sum(mu * w for mu, w, _ in r.posteriors) == pytest.approx(mu0, abs=1e-12)
+    grid = [(m, uhat(env, prefs, m)) for m in sorted({*np.linspace(0.0, 1.0, 1001).tolist(), mu0})]
+    assert r.value >= concavify(grid, mu0)[1] - 1e-12
+    try:
+        proposal_first = solve_proposal_first_binary(env, prefs)[1]
+    except (AssumptionViolatedError, DomainError):  # refusals, e.g. h > 1
+        assume(False)
+    assert r.value >= proposal_first - 1e-10
 
 
 def test_timing_order_binary():

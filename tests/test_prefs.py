@@ -60,6 +60,19 @@ def test_literals():
     for bad in ("cubic", "power:abc", "power:nan", "power:inf", "exp:nan", "exp:800"):
         with pytest.raises(DomainError):
             prefs_from_literal(bad)
+    # A constructor's reason reaches the message; only a non-number is "bad".
+    for bad, reason in (("exp:800", "overflows the loss"), ("power:0.5", "gamma >= 1"),
+                        ("power:abc", "bad power literal"), ("exp:x", "bad exponential literal")):
+        with pytest.raises(DomainError, match=reason):
+            prefs_from_literal(bad)
+
+
+@pytest.mark.parametrize("alpha", [5e-324, 1e-300, 1e-17])
+def test_tiny_cara_coefficient_is_linear(alpha):
+    # expm1(alpha x) / alpha loses every digit once alpha x is subnormal.
+    prefs = Exponential(alpha)
+    assert [prefs.loss(x) for x in (0.0, 0.3, 0.7, 1.0)] == [0.0, 0.3, 0.7, 1.0]
+    assert prefs.loss_array(np.array([0.3, 0.7])).tolist() == [0.3, 0.7]
 
 
 @given(LOSSES, st.lists(st.floats(0.0, 10.0), min_size=1, max_size=40))
