@@ -29,7 +29,6 @@ from .lsolve import (
     Envelope,
     ThreeTypeValues,
     concavify,
-    quasiconvexity_check,
     solve_persuasion_first_binary,
     solve_proposal_first_binary,
     three_type_values,
@@ -86,7 +85,6 @@ __all__ = [
     "phi_threshold",
     "prefs_from_literal",
     "psi_cap",
-    "quasiconvexity_check",
     "solve_cutoff",
     "solve_persuasion_first",
     "solve_persuasion_first_binary",

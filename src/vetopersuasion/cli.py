@@ -243,7 +243,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 def cmd_oracle(args: argparse.Namespace) -> int:
     d = from_literal(args.dist)
     prefs = prefs_from_literal(args.loss)
-    tol = args.tol if args.tol is not None else 1e-6
+    scale = max(1.0, prefs.loss(1.0))  # payoff gaps count in units of max(1, c(1))
+    tol = (args.tol if args.tol is not None else 1e-6) * scale
     checks: List[Tuple[str, bool, str]] = []
     if args.model == "quad":
         r = qsolve.solve_persuasion_first(d, prefs)
@@ -275,9 +276,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             ("proposal-grid", abs(v_g - value) <= tol, f"grid {v_g:.9g} vs {value:.9g}")
         )
         pf = lsolve.solve_persuasion_first_binary(env, prefs)
-        checks.append(
-            ("timing-order", pf.value >= value - 1e-10, f"{pf.value:.9g} >= {value:.9g}")
-        )
+        ordered = pf.value >= value - 1e-10 * scale
+        checks.append(("timing-order", ordered, f"{pf.value:.9g} >= {value:.9g}"))
     else:
         prior, levels = _three_prior(d)
         r = lsolve.three_type_values(prior, levels, prefs)
@@ -285,7 +285,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         checks.append(
             (
                 "binary-signal-search",
-                abs(best - r.v_bestbinary) <= 1e-4,
+                abs(best - r.v_bestbinary) <= 1e-4 * scale,
                 f"oracle {best:.9g} (sigma={tuple(round(s, 6) for s in sigma)}) vs {r.v_bestbinary:.9g}",
             )
         )
@@ -336,8 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", default=None,
                        help="machine-readable output")
         p.add_argument("--out", default=None, help="write output to a file")
-        p.add_argument("--grid", type=int, default=None, help="grid size override")
-        p.add_argument("--tol", type=float, default=None, help="check tolerance")
         p.add_argument("--config", default=None, help="JSON config file mirroring flags")
 
     p = sub.add_parser("solve", help="solve a single instance")
@@ -357,6 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figure", help="emit figure data as CSV")
     p.add_argument("id", type=int, choices=[1, 2, 3, 4, 5, 6])
     common(p)
+    p.add_argument("--grid", type=int, default=None, help="grid size override")
     p.set_defaults(fn=cmd_figure)
 
     p = sub.add_parser("oracle", help="cross-check an instance against brute force")
@@ -364,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dist")
     p.add_argument("loss")
     common(p)
+    p.add_argument("--grid", type=int, default=None, help="grid size override")
+    p.add_argument("--tol", type=float, default=None, help="check tolerance, times max(1, c(1))")
     p.set_defaults(fn=cmd_oracle)
     return parser
 
@@ -373,7 +374,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if args.grid is not None and args.grid < 2:
+        if getattr(args, "grid", None) is not None and args.grid < 2:
             raise DomainError(f"--grid takes an integer >= 2, got {args.grid!r}")
         return args.fn(args)
     except (VetoPersuasionError, OSError, json.JSONDecodeError) as exc:

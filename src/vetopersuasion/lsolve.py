@@ -5,7 +5,9 @@ and the persuasion-first problem concavifies the indirect utility
 Uhat(mu) = -c(1 - psi(mu)) over four exact beliefs, not a grid (two states
 need at most two posteriors: Kamenica & Gentzkow 2011).  The proposal-first
 problem maximizes Utilde(p), the best payoff from committing to p and then
-choosing the acceptance-maximizing signal.  Three-atom instances are
+choosing the acceptance-maximizing signal, over two candidate proposals,
+min(h, p_bar) and psi(mu0), with a dense grid as the tripwire for that
+candidate set.  Three-atom instances are
 handled through a restricted parametric family of binary signals.
 """
 
@@ -150,58 +152,48 @@ def utilde(env: BinaryTypeEnv, prefs: ProposerPreferences, p: float) -> float:
     return -c1 + (env.mu0 / phi) * (c1 - prefs.loss(1.0 - p))
 
 
-def quasiconvexity_check(prefs: ProposerPreferences, ell: float) -> bool:
-    """Scan (c(1) - c(1-p))(p - ell)/(p - 2 ell) for interior local maxima.
-
-    The loss is extended oddly past p = 1 so the scan covers p up to 10.
-    Quasi-convexity of this ratio is what makes the three-candidate
-    proposal-first logic exhaustive.
-    """
-    c1 = prefs.loss(1.0)
-
-    def c_ext(x: float) -> float:
-        return np.sign(x) * prefs.loss(abs(x))
-
-    ps = 2.0 * ell + np.geomspace(1e-6, 10.0 - 2.0 * ell, 2000)
-    v = np.array([(c1 - c_ext(1.0 - p)) * (p - ell) / (p - 2.0 * ell) for p in ps])
-    interior_max = (v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])
-    return not bool(interior_max.any())
-
-
 def solve_proposal_first_binary(
     env: BinaryTypeEnv, prefs: ProposerPreferences
 ) -> Tuple[float, float, Optional[Tuple[Tuple[float, float], ...]]]:
     """Optimal proposal-then-experiment outcome: (p_opt, value, experiment).
 
     The experiment, when information is used, is the binary split of mu0
-    into posteriors {0, phi(p_opt)}; None means no information.  Only
-    three candidate proposals can be optimal: the largest surely-accepted
-    proposal psi(mu0), the high bliss point h, and the cap p_bar.  A dense
-    grid max over Utilde acts as a tripwire for that claim.
+    into posteriors {0, phi(p_opt)}; None means no information.  It is used
+    exactly when p_opt exceeds psi(mu0), the largest surely-accepted
+    proposal.  Two candidates are compared, min(h, p_bar) and psi(mu0); a
+    tie goes to the first.  Up to psi(mu0) Utilde(p) = -c(1 - p) rises.
+    Past it Utilde = -c(1) + mu0 (c(1) - c(1 - p)) / phi(p), and on
+    [h, p_bar], where phi(p) = (p - 2 ell) / (2 (h - ell)), its slope has
+    the sign of c'(1 - p)(p - 2 ell) - (c(1) - c(1 - p)), which is at most
+    -2 ell c'(1 - p) <= 0 because c is convex (c(1) - c(1 - p) >= p c'(1 - p)).
+    So p_bar is optimal only when it is surely accepted, and then
+    psi(mu0) = p_bar; for h > 1 the first candidate is p_bar itself.  On
+    (psi(mu0), h] the payoff is -c(1) + 2 mu0 R(p) with R(p) =
+    (c(1) - c(1 - p))(p - ell) / (p - 2 ell).  For Linear, R'(p) has the
+    sign of p^2 - 4 ell p + 2 ell^2, which changes sign once past 2 ell, so R
+    is quasi-convex and peaks at an endpoint; a curved loss can give R an
+    interior peak.  A 2,000-point grid over [0, p_bar], its best point
+    polished by golden-section search, is the tripwire for that case: it
+    raises AssumptionViolatedError when it beats the candidates by more
+    than 1e-6 max(1, c(1)).
     """
-    if not quasiconvexity_check(prefs, env.ell):
-        raise AssumptionViolatedError(
-            "acceptance-odds ratio is not quasi-convex for these preferences"
-        )
-    mu0, h, p_bar = env.mu0, env.h, env.p_bar
+    mu0 = env.mu0
+    p_lo = psi_cap(env, mu0)
+    p_opt = max((min(env.h, env.p_bar), p_lo), key=lambda p: utilde(env, prefs, p))
+    value = utilde(env, prefs, p_opt)
+    experiment = None
+    if p_opt > p_lo:
+        phi = phi_threshold(env, p_opt)
+        experiment = ((0.0, 1.0 - mu0 / phi), (phi, mu0 / phi))
 
-    if mu0 >= phi_threshold(env, p_bar):
-        p_opt, value, experiment = p_bar, utilde(env, prefs, p_bar), None
-    elif mu0 >= max(0.0, phi_threshold(env, h)):
-        p_opt = psi_cap(env, mu0)
-        value, experiment = utilde(env, prefs, p_opt), None
-    else:
-        p_lo = psi_cap(env, mu0)
-        if utilde(env, prefs, p_lo) <= utilde(env, prefs, h):
-            p_opt = h
-            value = utilde(env, prefs, h)
-            phi_h = phi_threshold(env, h)
-            experiment = ((0.0, 1.0 - mu0 / phi_h), (phi_h, mu0 / phi_h))
-        else:
-            p_opt, value, experiment = p_lo, utilde(env, prefs, p_lo), None
-
-    grid_best = max(utilde(env, prefs, p) for p in np.linspace(0.0, p_bar, 2000))
-    if grid_best > value + 1e-6:
+    # The grid's best point is polished over its two cells: with c'(0) = 0
+    # and h > 1, R falls at p_bar = 1, so Utilde can peak inside the last cell.
+    ps = np.linspace(0.0, env.p_bar, 2000)
+    k = int(np.argmax([utilde(env, prefs, p) for p in ps]))
+    _, grid_best = golden_max(
+        lambda p: utilde(env, prefs, p), ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)], _GOLDEN_TOL
+    )
+    if grid_best > value + 1e-6 * max(1.0, prefs.loss(1.0)):
         raise AssumptionViolatedError(
             "grid search beat the candidate proposals; quasi-convexity premise broken"
         )

@@ -133,10 +133,12 @@ def verify_certificate(
     def price(s):
         return np.maximum(-c1, -c1 + slope * (s - s_star))
 
+    # Payoff gaps are judged in units of max(1, c(1)); the Bayes gap, in
+    # type units, stays absolute.
     viol = float(max(_max_excess(d, prefs, price, grid_n),
-                     abs(price(s_star) + c1), abs(price(s_upper) - u_up),
-                     abs(d.cond_mean_above(s_star) - s_upper)))
-    return viol <= 1e-9, viol
+                     abs(price(s_star) + c1), abs(price(s_upper) - u_up)))
+    gap = abs(d.cond_mean_above(s_star) - s_upper)
+    return viol <= 1e-9 * max(1.0, c1) and gap <= 1e-9, max(viol, gap)
 
 
 def verify_no_info_certificate(
@@ -149,7 +151,7 @@ def verify_no_info_certificate(
     u_m = _indirect(m, prefs)
     slope = 2.0 * prefs.utility_deriv(2.0 * m)
     viol = _max_excess(d, prefs, lambda s: u_m + slope * (s - m), grid_n)
-    return viol <= 1e-9, viol
+    return viol <= 1e-9 * max(1.0, prefs.loss(1.0)), viol
 
 
 def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price, grid_n: int) -> float:

@@ -109,6 +109,41 @@ def test_oracle_linear2_tiny_scale(capsys):
     assert "PASS timing-order" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # h > 1: the proposal h lies above p_bar = 1.
+        ("solve", "linear2", "proposal-first", "atoms:0.1:.9,1.5:.1", "linear"),
+        # exp(80 x) overflowed once the loss was evaluated past x = 1.
+        ("solve", "linear2", "proposal-first", "atoms:0.1:.8,0.7:.2", "exp:80"),
+        # Payoffs near c(1) ~ 6.5e127 differ only by rounding; the checks
+        # measure gaps in units of max(1, c(1)).
+        ("oracle", "linear2", "atoms:0.1:.8,0.7:.2", "exp:300"),
+        ("oracle", "quad", "uniform:-1,1", "exp:300"),
+        ("oracle", "linear3", "atoms:0:.7,0.1:.2,0.5:.1", "exp:300"),
+    ],
+)
+def test_large_scale_and_high_type_exit_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert "FAIL" not in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2", "--tol", "1"),
+        ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2", "--grid", "5"),
+        ("sweep", "tilt", "--grid", "5"),
+        ("figure", "1", "--tol", "1"),
+    ],
+)
+def test_flag_only_where_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+
+
 @pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
 def test_solve_large_cara_loss(capsys, timing):
     # exp(700) is still finite: it solves or fails with an input error.
@@ -207,7 +242,7 @@ def test_oracle_no_info_message(capsys):
 
 def test_config_file(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"grid": 150, "json": True}))
+    cfg.write_text(json.dumps({"json": True}))
     code, out, _ = run(
         capsys,
         "solve", "quad", "persuasion-first", "uniform:-1,1", "power:2",

@@ -6,21 +6,19 @@ from vetopersuasion import (
     AssumptionViolatedError,
     BinaryTypeEnv,
     DegenerateGridError,
-    DomainError,
     Exponential,
     Linear,
     Power,
     concavify,
     phi_threshold,
     psi_cap,
-    quasiconvexity_check,
     solve_persuasion_first_binary,
     solve_proposal_first_binary,
     three_type_values,
     uhat,
     utilde,
 )
-from vetopersuasion.oracle import concave_envelope_oracle
+from vetopersuasion.oracle import concave_envelope_oracle, proposal_first_grid
 
 LIN = Linear()
 EX1 = BinaryTypeEnv(0.1, 0.7, 0.2)  # phi(h) = 5/12, phi(1) = 2/3
@@ -215,25 +213,44 @@ class TestProposalFirstBinary:
         p, v, e = solve_proposal_first_binary(env, LIN)
         assert p == env.p_bar and v == pytest.approx(0.0) and e is None
 
+    def test_h_above_one(self):
+        # h > 1 >= p_bar: the first candidate is p_bar, not h.
+        p, v, e = solve_proposal_first_binary(BinaryTypeEnv(0.1, 1.5, 0.1), LIN)
+        assert p == 1.0 and v == pytest.approx(-0.775, abs=1e-12)
+        assert e[0] == (0.0, pytest.approx(0.775)) and e[1] == pytest.approx((4.0 / 9.0, 0.225))
 
-def test_quasiconvexity():
-    # Linear loss admits a closed-form argument; the scan must agree.
-    assert quasiconvexity_check(LIN, 0.15)
-    assert quasiconvexity_check(LIN, 0.01)
-    assert quasiconvexity_check(LIN, 0.45)
-    # Curved losses are decided by the scan itself: the quadratic ratio with
-    # ell = 0.1 has a genuine interior local maximum near p = 0.915, so these
-    # are recorded verdicts, not assertions of shape.
-    assert quasiconvexity_check(Power(2.0), 0.1) in (True, False)
-    assert quasiconvexity_check(Power(6.0), 0.3) in (True, False)
-
-
-def test_proposal_first_rejects_non_quasiconvex_ratio():
-    prefs = Power(2.0)
-    if not quasiconvexity_check(prefs, 0.1):
-        env = BinaryTypeEnv(0.1, 0.7, 0.3)
+    def test_tripwire_refuses_interior_peak(self):
+        # Power(6) bends the payoff to a peak near p = 0.600, inside
+        # (psi(mu0), h), which beats both candidates by 2.6e-3.
         with pytest.raises(AssumptionViolatedError):
-            solve_proposal_first_binary(env, prefs)
+            solve_proposal_first_binary(BinaryTypeEnv(0.02, 0.8, 0.25), Power(6.0))
+
+    def test_curved_loss_solves(self):
+        env, prefs = BinaryTypeEnv(0.1, 0.7, 0.3), Power(2.0)
+        p, v, e = solve_proposal_first_binary(env, prefs)
+        assert p == 0.7 and v == pytest.approx(-0.3448, abs=1e-12) and e is not None
+        assert proposal_first_grid(env, prefs, 4001)[1] <= v + 1e-6
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    LOSSES,
+    st.floats(-9.0, 0.4).map(lambda e: 10.0 ** e),
+    st.one_of(st.just(0.0), st.floats(0.0, 1.0)),
+    st.floats(0.0, 1.0),
+)
+def test_proposal_first_binary_property(prefs, h, ell_share, mu0):
+    assume(ell_share * h < h)
+    env = BinaryTypeEnv(ell_share * h, h, mu0)
+    try:
+        p_opt, value, e = solve_proposal_first_binary(env, prefs)
+    except AssumptionViolatedError:  # the tripwire's refusal
+        assume(False)
+    assert 0.0 <= p_opt <= env.p_bar
+    if e is not None:
+        assert sum(w for _, w in e) == pytest.approx(1.0, abs=1e-12)
+        assert sum(mu * w for mu, w in e) == pytest.approx(mu0, abs=1e-12)
+    assert proposal_first_grid(env, prefs, 1001)[1] <= value + 1e-6 * max(1.0, prefs.loss(1.0))
 
 
 @settings(max_examples=50, deadline=None)
@@ -257,7 +274,7 @@ def test_persuasion_first_binary_property(prefs, h, ell_share, mu0):
     assert r.value >= concavify(grid, mu0)[1] - 1e-12
     try:
         proposal_first = solve_proposal_first_binary(env, prefs)[1]
-    except (AssumptionViolatedError, DomainError):  # refusals, e.g. h > 1
+    except AssumptionViolatedError:  # the tripwire's refusal
         assume(False)
     assert r.value >= proposal_first - 1e-10
 
