@@ -1,19 +1,37 @@
-"""One-dimensional searches shared by the solvers and the oracles.
+"""One-dimensional searches and grids shared by the solvers and the oracles.
 
 Generic numerics only: no model logic lives here, so the oracles can use
-these helpers and stay independent of the solvers.
+these helpers and stay independent of the solvers.  Pure stdlib, so the
+solve path never imports numpy.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .errors import NoRootError
 
 # Bisection stops once the bracket is this narrow, or after _MAX_BISECT steps.
 _S_TOL = 1e-13
 _MAX_BISECT = 200
+
+
+def linspace(lo: float, hi: float, n: int) -> List[float]:
+    """n >= 2 evenly spaced floats from lo to hi, both ends included.
+
+    The arithmetic is numpy's: i * step + lo, then the last point set to hi
+    (and (i / (n - 1)) * (hi - lo) + lo when the step underflows to 0), so
+    the list equals np.linspace(lo, hi, n).tolist() bit for bit.
+    """
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0.0:
+        xs = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        xs = [i * step + lo for i in range(n)]
+    xs[-1] = hi
+    return xs
 
 
 def golden_max(
@@ -62,16 +80,20 @@ def bisect_rising(
 
 
 def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float, rtol: float, maxiter: int = 100) -> float:
+           xtol: float, rtol: float, maxiter: int = 100,
+           fa: Optional[float] = None, fb: Optional[float] = None) -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Takes secant or inverse quadratic steps while they shrink the bracket
     fast enough, and bisects otherwise; returns x once the bracket is
-    narrower than xtol + rtol * |x|.  Raises NoRootError when f(a) and
-    f(b) have the same sign, or when maxiter steps do not suffice.
+    narrower than xtol + rtol * |x|.  A caller that already holds f(a) or
+    f(b) passes it as fa or fb, and f is not evaluated there again.
+    Raises NoRootError when f(a) and f(b) have the same sign, or when
+    maxiter steps do not suffice.
     """
     xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
+    fpre = f(xpre) if fa is None else fa
+    fcur = f(xcur) if fb is None else fb
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):

@@ -1,6 +1,9 @@
 """Command-line interface: solve instances, run sweeps, emit figure data,
 and run oracle cross-checks.
 
+Only ``vps oracle`` needs numpy: it imports the oracles when it runs, so
+every other subcommand starts without loading numpy.
+
 Exit codes: 0 on success, 2 on input errors, 3 when a cross-check fails.
 """
 
@@ -13,9 +16,8 @@ import json
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from . import closedform, lsolve, oracle, qsolve
+from . import closedform, lsolve, qsolve
+from ._numeric import linspace
 from .accept import BinaryTypeEnv
 from .dist import FiniteAtoms, TypeDistribution, UniformInterval, from_literal, lr_tilt
 from .errors import DomainError, VetoPersuasionError
@@ -153,7 +155,7 @@ def _sweep_risk_row(alpha: float) -> Tuple:
 _SWEEPS = {
     "risk-aversion": (_sweep_risk_row, [0.5, 1.0, 2.0, 4.0], ("<=", "<=")),
     "tilt": (_sweep_tilt_row, [0.0, 0.5, 1.0, 2.0], ("<=", ">=")),
-    "theta-hi": (_sweep_hi_row, list(np.linspace(0.55, 1.0, 10)), ("<=", ">=")),
+    "theta-hi": (_sweep_hi_row, linspace(0.55, 1.0, 10), ("<=", ">=")),
 }
 
 
@@ -187,7 +189,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:
     if fig == 1:
-        lo = np.linspace(-2.0, -0.01, n)
+        lo = linspace(-2.0, -0.01, n)
         return (
             ["theta_lo", "u_no", "u_fl1", "u_fl2", "u_bi"],
             [
@@ -196,17 +198,17 @@ def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:
             ],
         )
     if fig == 2:
-        ss = np.linspace(-1.0, 1.0, n)
+        ss = linspace(-1.0, 1.0, n)
         prefs = Power(2.0)
         return ["s", "indirect_u"], [[s, qsolve.indirect_u(s, prefs)] for s in ss]
     if fig == 3:
-        his = np.linspace(0.05, 1.0, n)
+        his = linspace(0.05, 1.0, n)
         return (
             ["theta_hi", "kappa", "proposal"],
             [[t, closedform.kappa(t), closedform.kappa(t) + t] for t in his],
         )
     if fig == 4:
-        mus = np.linspace(0.0, 1.0, n)
+        mus = linspace(0.0, 1.0, n)
         prefs = Linear()
         envs = [BinaryTypeEnv(0.1, 0.45, 0.5), BinaryTypeEnv(0.1, 0.7, 0.5)]
         return (
@@ -216,14 +218,14 @@ def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:
     if fig == 5:
         prefs = Linear()
         envs = [BinaryTypeEnv(0.15, 0.7, m) for m in (0.2, 0.3, 0.45)]
-        ps = np.linspace(0.0, envs[0].p_bar, n)
+        ps = linspace(0.0, envs[0].p_bar, n)
         return (
             ["p", "utilde_mu02", "utilde_mu03", "utilde_mu045"],
             [[p] + [lsolve.utilde(e, prefs, p) for e in envs] for p in ps],
         )
     if fig == 6:
         prefs = Linear()
-        mus = np.linspace(0.01, 0.99, n)
+        mus = linspace(0.01, 0.99, n)
         rows = []
         for m in mus:
             env = BinaryTypeEnv(0.1, 0.7, m)
@@ -241,6 +243,8 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    from . import oracle  # numpy-backed: imported only by the command that needs it
+
     d = from_literal(args.dist)
     prefs = prefs_from_literal(args.loss)
     scale = max(1.0, prefs.loss(1.0))  # payoff gaps count in units of max(1, c(1))

@@ -7,8 +7,9 @@ need at most two posteriors: Kamenica & Gentzkow 2011).  The proposal-first
 problem maximizes Utilde(p), the best payoff from committing to p and then
 choosing the acceptance-maximizing signal, over two candidate proposals,
 min(h, p_bar) and psi(mu0), with a dense grid as the tripwire for that
-candidate set.  Three-atom instances are
-handled through a restricted parametric family of binary signals.
+candidate set.  Three-atom instances are handled through a restricted
+parametric family of binary signals.  Pure stdlib: interpolation uses
+bisect and the tripwire grid _numeric.linspace, so no solve imports numpy.
 """
 
 from __future__ import annotations
@@ -18,9 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ._numeric import golden_max
+from ._numeric import golden_max, linspace
 from .accept import (
     BinaryTypeEnv,
     best_acceptable_proposal,
@@ -41,11 +40,17 @@ class Envelope:
     breakpoints: Tuple[Tuple[float, float], ...]
 
     def value(self, mu: float) -> float:
+        """Linear interpolation as np.interp does it: a breakpoint's own
+        value at each breakpoint (the last included), else the chord's."""
         xs = [b[0] for b in self.breakpoints]
-        ys = [b[1] for b in self.breakpoints]
         if not xs[0] <= mu <= xs[-1]:
             raise DomainError(f"{mu} outside envelope domain [{xs[0]}, {xs[-1]}]")
-        return float(np.interp(mu, xs, ys))
+        j = bisect_right(xs, mu) - 1  # xs[j] <= mu < xs[j + 1]
+        xa, ya = self.breakpoints[j]
+        if mu == xa:
+            return float(ya)
+        xb, yb = self.breakpoints[j + 1]
+        return (yb - ya) / (xb - xa) * (mu - xa) + ya
 
 
 @dataclass(frozen=True)
@@ -160,9 +165,11 @@ def solve_proposal_first_binary(
     The experiment, when information is used, is the binary split of mu0
     into posteriors {0, phi(p_opt)}; None means no information.  It is used
     exactly when p_opt exceeds psi(mu0), the largest surely-accepted
-    proposal.  Two candidates are compared, min(h, p_bar) and psi(mu0); a
-    tie goes to the first.  Up to psi(mu0) Utilde(p) = -c(1 - p) rises.
-    Past it Utilde = -c(1) + mu0 (c(1) - c(1 - p)) / phi(p), and on
+    proposal.  Two candidates are compared, min(h, p_bar) and psi(mu0),
+    the latter valued -c(1 - psi(mu0)) outright (phi(psi(mu0)) can round
+    above mu0, and Utilde's acceptance-odds branch then cancels at a large
+    c(1)); a tie goes to the first.  Up to psi(mu0) Utilde(p) = -c(1 - p)
+    rises.  Past it Utilde = -c(1) + mu0 (c(1) - c(1 - p)) / phi(p), and on
     [h, p_bar], where phi(p) = (p - 2 ell) / (2 (h - ell)), its slope has
     the sign of c'(1 - p)(p - 2 ell) - (c(1) - c(1 - p)), which is at most
     -2 ell c'(1 - p) <= 0 because c is convex (c(1) - c(1 - p) >= p c'(1 - p)).
@@ -178,9 +185,9 @@ def solve_proposal_first_binary(
     than 1e-6 max(1, c(1)).
     """
     mu0 = env.mu0
-    p_lo = psi_cap(env, mu0)
-    p_opt = max((min(env.h, env.p_bar), p_lo), key=lambda p: utilde(env, prefs, p))
-    value = utilde(env, prefs, p_opt)
+    p_hi, p_lo = min(env.h, env.p_bar), psi_cap(env, mu0)
+    v_hi, v_lo = utilde(env, prefs, p_hi), -prefs.loss(1.0 - p_lo)
+    p_opt, value = (p_hi, v_hi) if v_hi >= v_lo else (p_lo, v_lo)
     experiment = None
     if p_opt > p_lo:
         phi = phi_threshold(env, p_opt)
@@ -188,8 +195,9 @@ def solve_proposal_first_binary(
 
     # The grid's best point is polished over its two cells: with c'(0) = 0
     # and h > 1, R falls at p_bar = 1, so Utilde can peak inside the last cell.
-    ps = np.linspace(0.0, env.p_bar, 2000)
-    k = int(np.argmax([utilde(env, prefs, p) for p in ps]))
+    ps = linspace(0.0, env.p_bar, 2000)
+    vals = [utilde(env, prefs, p) for p in ps]
+    k = vals.index(max(vals))  # the first best point, as np.argmax picks
     _, grid_best = golden_max(
         lambda p: utilde(env, prefs, p), ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)], _GOLDEN_TOL
     )

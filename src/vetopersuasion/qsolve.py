@@ -89,11 +89,12 @@ def _tangency_point(s: float, prefs: ProposerPreferences) -> float:
         return prefs.utility(2.0 * m) - u0 - 2.0 * prefs.utility_deriv(2.0 * m) * (m - s)
 
     # g is nondecreasing in m for concave u, g(0) <= 0 for s <= 0.
-    if g(0.5) <= 0.0:
+    g_half = g(0.5)
+    if g_half <= 0.0:
         return 0.5
     if s >= 0.0:
         return 0.0
-    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
+    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16, fb=g_half)
 
 
 def solve_cutoff(
@@ -113,15 +114,18 @@ def solve_cutoff(
     def z(s: float) -> float:
         return d.cond_mean_above(s) - _tangency_point(s, prefs)
 
-    if z(0.0) <= 0.0:
+    z_hi = z(0.0)
+    if z_hi <= 0.0:
         # Corner of a kinked u: the expected policy is maximized at cutoff 0.
         return 0.0, d.cond_mean_above(0.0)
-    if z(theta_lo) >= 0.0:
+    z_lo = z(theta_lo)
+    if z_lo >= 0.0:
         raise NoRootError(
             "no interior cutoff: no information is optimal for this instance"
         )
 
-    s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
+    # The guards' values seed Brent, so neither end is solved for again.
+    s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16, fa=z_lo, fb=z_hi)
     return s_star, d.cond_mean_above(s_star)
 
 

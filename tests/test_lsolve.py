@@ -6,6 +6,8 @@ from vetopersuasion import (
     AssumptionViolatedError,
     BinaryTypeEnv,
     DegenerateGridError,
+    DomainError,
+    Envelope,
     Exponential,
     Linear,
     Power,
@@ -18,6 +20,7 @@ from vetopersuasion import (
     uhat,
     utilde,
 )
+from vetopersuasion import lsolve
 from vetopersuasion.oracle import concave_envelope_oracle, proposal_first_grid
 
 LIN = Linear()
@@ -193,6 +196,30 @@ class TestUtilde:
         assert all(b < a for a, b in zip(vals, vals[1:]))  # decreasing
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
+    st.lists(st.floats(0.0, 1.0), max_size=8),
+)
+def test_envelope_value_matches_np_interp(points, fracs):
+    points.append((points[0][0] + 1.0, points[0][1]))  # at least two distinct mu
+    env, _, _ = concavify(points, points[0][0])
+    xs = [x for x, _ in env.breakpoints]
+    ys = [y for _, y in env.breakpoints]
+    mus = xs + [min(xs[0] + f * (xs[-1] - xs[0]), xs[-1]) for f in fracs]
+    for mu in mus:
+        assert env.value(mu) == float(np.interp(mu, xs, ys))
+    # Each breakpoint, both ends included, reads its own value.
+    assert [env.value(x) for x in xs] == ys
+
+
+def test_envelope_value_outside_the_domain():
+    env = Envelope(((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))
+    assert env.value(1.0) == 0.0 and env.value(0.75) == 1.0
+    with pytest.raises(DomainError):
+        env.value(1.0 + 1e-12)
+
+
 class TestProposalFirstBinary:
     def test_three_panels(self):
         p, v, e = solve_proposal_first_binary(FIG5(0.2), LIN)
@@ -224,6 +251,34 @@ class TestProposalFirstBinary:
         # (psi(mu0), h), which beats both candidates by 2.6e-3.
         with pytest.raises(AssumptionViolatedError):
             solve_proposal_first_binary(BinaryTypeEnv(0.02, 0.8, 0.25), Power(6.0))
+
+    def test_tripwire_tie_picks_the_first_best_point(self, monkeypatch):
+        # A payoff flat at its maximum from grid point k on: the polish
+        # brackets the first best point, as np.argmax chose it.
+        ps = np.linspace(0.0, EX1.p_bar, 2000)
+        k = 700
+        monkeypatch.setattr(lsolve, "utilde", lambda env, prefs, p: float(p >= ps[k]))
+        brackets = []
+
+        def polish(f, lo, hi, tol):
+            brackets.append((lo, hi))
+            return lo, f(lo)
+
+        monkeypatch.setattr(lsolve, "golden_max", polish)
+        solve_proposal_first_binary(EX1, LIN)
+        assert int(np.argmax([float(p >= ps[k]) for p in ps])) == k
+        assert brackets == [(ps[k - 1], ps[k + 1])]
+
+    def test_surely_accepted_candidate_at_a_large_scale(self):
+        # phi(psi(mu0)) rounds above mu0 here; the candidate psi(mu0) is
+        # still worth -c(1 - psi(mu0)), the no-information value that
+        # persuasion-first reports for the same instance.
+        prefs = Exponential(300.0)
+        p, v, e = solve_proposal_first_binary(EX1, prefs)
+        pf = solve_persuasion_first_binary(EX1, prefs)
+        assert e is None and pf.regime == "NoInfo"
+        assert p == psi_cap(EX1, EX1.mu0) and v == -prefs.loss(1.0 - p)
+        assert v == pytest.approx(pf.value, rel=1e-12)
 
     def test_curved_loss_solves(self):
         env, prefs = BinaryTypeEnv(0.1, 0.7, 0.3), Power(2.0)

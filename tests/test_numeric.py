@@ -4,11 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vetopersuasion
 from vetopersuasion import NoRootError
-from vetopersuasion._numeric import _S_TOL, bisect_rising, brentq, golden_max
+from vetopersuasion._numeric import _S_TOL, bisect_rising, brentq, golden_max, linspace
+
+ENDS = st.floats(-1e300, 1e300)
 
 
 @pytest.mark.parametrize("tol", [1e-12, 1e-10])
@@ -48,19 +52,90 @@ def test_brentq_at_an_endpoint():
     assert brentq(lambda x: x, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == 0.0
 
 
+def test_brentq_reuses_given_end_values():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.cos(x)
+
+    root = brentq(f, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16, fa=1.0, fb=math.cos(2.0))
+    assert root == brentq(math.cos, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16)
+    assert 0.0 not in calls and 2.0 not in calls
+
+
 def test_brentq_without_a_sign_change():
     with pytest.raises(NoRootError):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
 
 
+@settings(max_examples=500, deadline=None)
+@given(ENDS, ENDS, st.integers(2, 300))
+def test_linspace_matches_numpy(lo, hi, n):
+    assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+
+# Steps that underflow to 0, an empty range, and the theta-hi sweep grid.
+@pytest.mark.parametrize("lo, hi", [(0.0, 5e-324), (5e-324, 1e-323), (1.0, 1.0), (0.55, 1.0)])
+def test_linspace_matches_numpy_on_edge_ranges(lo, hi):
+    for n in (2, 3, 10, 101):
+        assert linspace(lo, hi, n) == np.linspace(lo, hi, n).tolist()
+
+
+def _run_python(code):
+    src = str(Path(vetopersuasion.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+
+
 def test_cli_import_loads_no_scipy():
     code = ("import sys, vetopersuasion.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    src = str(Path(vetopersuasion.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["vetopersuasion", "vetopersuasion.cli"])
+def test_import_loads_no_numpy(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+# Every subcommand but oracle, with numpy made unimportable.
+NUMPY_FREE_COMMANDS = [
+    *(["solve", "quad", t, "uniform:-1,1", "power:2"]
+      for t in ("persuasion-first", "proposal-first")),
+    *(["solve", "linear2", t, "atoms:0.1:.8,0.7:.2", "linear"]
+      for t in ("persuasion-first", "proposal-first")),
+    ["solve", "linear3", "proposal-first", "atoms:0:.7,0.1:.2,0.5:.1", "linear"],
+    *(["sweep", kind] for kind in ("risk-aversion", "tilt", "theta-hi")),
+    *(["figure", str(i)] for i in range(1, 7)),
+]
+
+
+def test_cli_runs_without_numpy():
+    code = (
+        "import contextlib, io, sys; sys.modules['numpy'] = None\n"
+        "from vetopersuasion.cli import main\n"
+        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(code)\n"
+    )
+    assert _run_python(code).stdout.split() == ["0"] * len(NUMPY_FREE_COMMANDS)
+
+
+def test_oracle_imports_numpy_when_it_runs():
+    code = (
+        "import contextlib, io, sys\n"
+        "from vetopersuasion.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        "    code = main(['oracle', 'quad', 'uniform:-1,1', 'power:2'])\n"
+        "print(code, 'numpy' in sys.modules, *(l.split()[0] for l in out.getvalue().splitlines()))\n"
+    )
+    assert _run_python(code).stdout.split() == ["0", "True", "PASS", "PASS"]
 
 
 def test_public_names_resolve_and_are_sorted():

@@ -20,7 +20,8 @@ from vetopersuasion import (
     solve_persuasion_first,
     solve_proposal_first,
 )
-from vetopersuasion._numeric import bisect_rising
+from vetopersuasion import qsolve
+from vetopersuasion._numeric import bisect_rising, brentq
 from vetopersuasion.closedform import u_bi
 from vetopersuasion.oracle import _partition_value
 from vetopersuasion.qsolve import _acceptance_cutoff, _tangency_point
@@ -200,3 +201,29 @@ def test_solve_cutoff_matches_bisection(d, prefs):
         s_star, s_upper = solve_cutoff(d, prefs)
         assert s_star == pytest.approx(0.5 * (lo + hi), abs=1e-12)
         assert s_upper == d.cond_mean_above(s_star)
+
+
+@pytest.mark.parametrize(
+    "d", [U11, UniformInterval(-1.0, 0.8), lr_tilt(UniformInterval(-1.0, 0.8), 1.0)]
+)
+def test_solve_cutoff_solves_each_tangency_once(d, monkeypatch):
+    # The guards' z(0) and z(theta_lo) seed Brent, so solve_cutoff finds
+    # exactly the tangencies of a Brent run that evaluates both ends itself.
+    tangency = []
+
+    def counted(s, prefs):
+        tangency.append(s)
+        return _tangency_point(s, prefs)
+
+    monkeypatch.setattr(qsolve, "_tangency_point", counted)
+    s_star, _ = solve_cutoff(d, SQ)
+
+    theta_lo, brent_points = d.support[0], []
+
+    def z(s):
+        brent_points.append(s)
+        return d.cond_mean_above(s) - _tangency_point(s, SQ)
+
+    assert s_star == brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
+    assert brent_points[:2] == [theta_lo, 0.0]
+    assert tangency[:2] == [0.0, theta_lo] and tangency[2:] == brent_points[2:]
