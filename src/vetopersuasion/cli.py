@@ -378,8 +378,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if getattr(args, "grid", None) is not None and args.grid < 2:
-            raise DomainError(f"--grid takes an integer >= 2, got {args.grid!r}")
+        if getattr(args, "grid", None) is not None and not 2 <= args.grid <= 100_001:
+            raise DomainError(f"--grid takes an integer from 2 to 100001, got {args.grid!r}")
         return args.fn(args)
     except (VetoPersuasionError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,8 +5,10 @@ solvers: payoffs are recomputed from the loss primitives, hulls are built by
 pairwise-segment maxima instead of a hull walk, and optima are located by
 exhaustive grids with a golden-section polish.  The grids are vectorised over
 the loss primitives (``ProposerPreferences.loss_array``), which shares no
-model logic with the solvers.  Agreement with the fast paths is the evidence
-the fast paths are right.
+model logic with the solvers, and the binary proposal grid derives acceptance
+from the Vetoer's absolute loss rather than from ``accept``.  The one solver
+piece still shared is ``three_type_best_proposal``, in the three-type polish.
+Agreement with the fast paths is the evidence the fast paths are right.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from ._numeric import golden_max
-from .accept import three_type_best_proposal
+from .accept import BinaryTypeEnv, three_type_best_proposal
 from .dist import TypeDistribution
 from .errors import DomainError
-from .lsolve import BinaryTypeEnv, Envelope, utilde
+from .lsolve import Envelope
 from .prefs import ProposerPreferences
 
 _REFINE_TOL = 1e-10
@@ -28,6 +30,9 @@ _REFINE_TOL = 1e-10
 def _indirect(s, prefs: ProposerPreferences):
     # From the loss primitive, elementwise over s (a float for a scalar): the
     # Proposer proposes min(2s, 1) when that is accepted, else keeps the status quo.
+    # A float takes loss_array's 0-d formula without numpy, bit for bit (NaN too).
+    if type(s) is float:
+        return -prefs.loss(1.0 - 2.0 * min(max(s, 0.0), 0.5))
     return -prefs.loss_array(1.0 - 2.0 * np.clip(s, 0.0, 0.5))
 
 
@@ -36,12 +41,14 @@ def _partition_value(
 ) -> float:
     lo, hi = d.support
     edges = [lo, *sorted(cuts), hi]
+    F = [d.cdf(x) for x in edges]
+    T = [d.upper_partial_mean(x) for x in edges]
     total = 0.0
-    for a, b in zip(edges, edges[1:]):
-        mass = d.cdf(b) - d.cdf(a)
+    for i in range(len(edges) - 1):
+        mass = F[i + 1] - F[i]
         if mass <= 0.0:
             continue
-        mean = (d.upper_partial_mean(a) - d.upper_partial_mean(b)) / mass
+        mean = (T[i] - T[i + 1]) / mass
         total += mass * _indirect(mean, prefs)
     return total
 
@@ -270,15 +277,37 @@ def binary_signal_search_atoms(
     return float(best), (float(sigma[0]), float(sigma[1]), float(sigma[2]))
 
 
+def _proposal_payoff(p, env: BinaryTypeEnv, prefs: ProposerPreferences):
+    """Payoff from committing to proposal p (elementwise; a float for a
+    scalar), from the Vetoer's absolute loss.  Type t >= 0 gains t - |p - t|
+    = min(p, 2t - p) from p over the status quo, so belief mu on h accepts p
+    iff mu >= phi(p), the root of a gain linear in mu.  The best signal splits
+    mu0 into {0, phi(p)}: p passes with odds min(1, mu0 / phi(p)), and at odds
+    1 the payoff is -c(1 - p) outright."""
+    least = min if type(p) is float else np.minimum  # min(p, 2t - p) rounds once
+    g_lo, g_hi = least(p, 2.0 * env.ell - p), least(p, 2.0 * env.h - p)
+    c1, mu0 = prefs.loss(1.0), env.mu0
+    if type(p) is float:
+        sure = -prefs.loss(1.0 - p)
+        phi = g_lo / (g_lo - g_hi) if g_lo < 0.0 else 0.0
+        return sure if phi <= mu0 else -c1 + mu0 / phi * (c1 + sure)
+    sure = -prefs.loss_array(1.0 - p)
+    with np.errstate(divide="ignore", invalid="ignore"):  # p <= ell: p / 0, unused
+        phi = g_lo / (g_lo - g_hi)
+        return np.where((g_lo >= 0.0) | (phi <= mu0), sure, -c1 + mu0 / phi * (c1 + sure))
+
+
 def proposal_first_grid(
     env: BinaryTypeEnv, prefs: ProposerPreferences, grid_n: int = 4001
 ) -> Tuple[float, float]:
     """Arg-max of the committed-proposal payoff over a dense grid."""
+    if grid_n > 100_001:
+        raise DomainError(f"grid_n capped at 100001, got {grid_n}")
     ps = np.linspace(0.0, env.p_bar, grid_n)
-    vals = [utilde(env, prefs, p) for p in ps]
+    vals = _proposal_payoff(ps, env, prefs)
     k = int(np.argmax(vals))
     p_star, v_star = golden_max(
-        lambda p: utilde(env, prefs, p),
+        lambda p: _proposal_payoff(p, env, prefs),
         float(ps[max(0, k - 1)]),
         float(ps[min(grid_n - 1, k + 1)]),
         _REFINE_TOL,

@@ -78,6 +78,9 @@ def test_bad_input_exit_code(capsys):
         ("sweep", "tilt", "--values", "0,x"),
         # exp(800) overflows a float, so the loss is not finite on [0, 1].
         ("solve", "quad", "persuasion-first", "uniform:-1,1", "exp:800"),
+        # A grid of 1e9 points would need 8 GB or more: refused before any is built.
+        ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1000000000"),
+        ("figure", "1", "--grid", "1000000000"),
     ],
 )
 def test_bad_numeric_option_exit_code(capsys, argv):

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vetopersuasion import (
     BinaryTypeEnv,
@@ -8,16 +10,26 @@ from vetopersuasion import (
     Exponential,
     Linear,
     Power,
+    ProposerPreferences,
     UniformInterval,
+    accept,
     concavify,
+    dist_from_literal,
+    lsolve,
     no_info_optimal,
+    oracle,
+    phi_threshold,
+    psi_cap,
     solve_persuasion_first,
     solve_proposal_first_binary,
     three_type_values,
     uhat,
+    utilde,
 )
 from vetopersuasion.oracle import (
     _indirect,
+    _partition_value,
+    _proposal_payoff,
     binary_signal_search_atoms,
     concave_envelope_oracle,
     partition_search,
@@ -27,8 +39,14 @@ from vetopersuasion.oracle import (
 )
 
 U11 = UniformInterval(-1.0, 1.0)
+TILT = dist_from_literal("tilt:uniform:-1,1;2")
 SQ = Power(2.0)
 LIN = Linear()
+LOSSES = st.one_of(
+    st.just(LIN),
+    st.floats(1.0, 3.0).map(Power),
+    st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
+)
 
 
 class TestPartitionSearch:
@@ -57,6 +75,33 @@ class TestPartitionSearch:
             partition_search(U11, SQ, k_max=4, grid_n=50)
         with pytest.raises(DomainError):
             partition_search(U11, SQ, k_max=2, grid_n=600)
+
+    @pytest.mark.parametrize("d", [U11, TILT], ids=["uniform", "tilt"])
+    @pytest.mark.parametrize("prefs", [SQ, LIN, Exponential(3.0)], ids=["sq", "lin", "exp"])
+    def test_partition_value_matches_per_cell_recomputation(self, d, prefs):
+        # Each cell recomputes cdf and upper_partial_mean at both of its ends.
+        for cuts in ([], [-0.3], [0.4, -0.5], [-0.9, -0.2, 0.6], [-1.0, 0.1]):
+            edges = [d.support[0], *sorted(cuts), d.support[1]]
+            naive = 0.0
+            for a, b in zip(edges, edges[1:]):
+                mass = d.cdf(b) - d.cdf(a)
+                if mass > 0.0:
+                    mean = (d.upper_partial_mean(a) - d.upper_partial_mean(b)) / mass
+                    naive += mass * _indirect(mean, prefs)
+            assert _partition_value(d, prefs, cuts) == naive
+
+    def test_scalar_refinement_makes_no_0d_loss_array_call(self, monkeypatch):
+        shapes = []
+        loss_array = ProposerPreferences.loss_array
+
+        def spy(self, x):
+            shapes.append(np.shape(x))
+            return loss_array(self, x)
+
+        monkeypatch.setattr(ProposerPreferences, "loss_array", spy)
+        for d in (U11, TILT):
+            partition_search(d, SQ, k_max=3, grid_n=60)
+        assert shapes and () not in shapes
 
 
 class TestCertificates:
@@ -128,6 +173,23 @@ class TestProposalFirstGrid:
         p_fast, v_fast, _ = solve_proposal_first_binary(env, LIN)
         assert v == pytest.approx(v_fast, abs=1e-6)
 
+    def test_grid_cap(self):
+        with pytest.raises(DomainError):
+            proposal_first_grid(BinaryTypeEnv(0.15, 0.7, 0.2), LIN, grid_n=1_000_000_000)
+
+    def test_shares_no_acceptance_logic_with_the_solver(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the oracle called solver logic")
+
+        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal",
+                 "three_type_best_proposal"]
+        for module in (accept, lsolve, oracle):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        for mu0 in (0.0, 0.2, 0.45, 1.0):
+            proposal_first_grid(BinaryTypeEnv(0.15, 0.7, mu0), Exponential(2.0), grid_n=401)
+
 
 def test_oracle_never_beats_trusted_solver():
     for lo, prefs in [(-1.0, SQ), (-0.5, Power(3.0)), (-1.5, LIN)]:
@@ -138,11 +200,7 @@ def test_oracle_never_beats_trusted_solver():
 
 
 @given(
-    st.one_of(
-        st.just(LIN),
-        st.floats(1.0, 3.0).map(Power),
-        st.floats(0.0, 4.0, exclude_min=True).map(Exponential),
-    ),
+    LOSSES,
     st.floats(-2.0, 0.4),
     st.floats(0.05, 2.0),
     st.integers(2, 300),
@@ -155,3 +213,56 @@ def test_indirect_on_an_array_matches_its_points(prefs, lo, width, n):
     # Pieces: the status quo at or below 0, the ideal at or above 1/2.
     assert _indirect(min(lo, 0.0), prefs) == -prefs.loss(1.0)
     assert _indirect(max(lo + width, 0.5), prefs) == 0.0
+
+
+@given(
+    LOSSES,
+    st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.sampled_from([-0.0, 0.0, 0.5, -1e-300, 0.5000000000000001, math.nan]),
+    ),
+)
+def test_indirect_on_a_float_is_the_0d_array_path_bit_for_bit(prefs, s):
+    u = _indirect(s, prefs)
+    assert type(u) is float
+    assert repr(u) == repr(_indirect(np.array(s), prefs))  # -0.0 and nan included
+
+
+# h from 1e-6 up to past 1 (p_bar = 1), ell from 0, mu0 over all of [0, 1].
+BINARY_ENVS = st.builds(
+    lambda h, frac, mu0: BinaryTypeEnv(frac * h, h, mu0),
+    st.floats(1e-6, 1.5),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+    st.floats(0.0, 1.0),
+)
+ALL_LOSSES = st.one_of(LOSSES, st.floats(4.0, 300.0).map(Exponential))
+
+
+def _proposal_grid(env):
+    return np.linspace(0.0, env.p_bar, 301)
+
+
+@settings(max_examples=300, deadline=None)
+@given(BINARY_ENVS, ALL_LOSSES)
+def test_proposal_payoff_matches_utilde(env, prefs):
+    tol = 1e-12 * max(1.0, prefs.loss(1.0))
+    ps = _proposal_grid(env)
+    vals = _proposal_payoff(ps, env, prefs)
+    for p, v in zip(ps.tolist(), vals.tolist()):
+        ref = utilde(env, prefs, p)
+        assert abs(v - ref) <= tol
+        assert abs(_proposal_payoff(p, env, prefs) - ref) <= tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(BINARY_ENVS, ALL_LOSSES)
+def test_proposal_payoff_is_exact_where_surely_accepted(env, prefs):
+    ps = _proposal_grid(env)
+    ps = ps[ps <= psi_cap(env, env.mu0)]
+    # Leave out points whose phi(p) rounds to within 4 ulps of mu0, as it
+    # does at p = psi(mu0) (the rounding listed for utilde in CHANGES.md).
+    sure = ps[[abs(phi_threshold(env, p) - env.mu0) > 4.0 * math.ulp(env.mu0)
+               for p in ps.tolist()]]
+    assert np.array_equal(_proposal_payoff(sure, env, prefs), -prefs.loss_array(1.0 - sure))
+    for p in sure.tolist():
+        assert _proposal_payoff(p, env, prefs) == -prefs.loss(1.0 - p)
