@@ -8,7 +8,7 @@ solve path never imports numpy.
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import NoRootError
 
@@ -39,8 +39,10 @@ def golden_max(
 ) -> Tuple[float, float]:
     """Golden-section maximization of a unimodal f on [lo, hi].
 
-    Returns (x, f(x)) at the midpoint of the final bracket, whose width
-    is at most tol.
+    Returns (x, f(x)) at the better of the two inner points (the left on a
+    tie) of a final bracket at most tol wide.  Each step keeps the best point
+    so far inside, so this is the best point evaluated; the bracket's
+    midpoint could lie past a cliff just after the peak.
     """
     invphi = (5.0 ** 0.5 - 1.0) / 2.0
     a, b = lo, hi
@@ -56,8 +58,21 @@ def golden_max(
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
-    x = 0.5 * (a + b)
-    return x, f(x)
+    return (x2, f2) if f1 < f2 else (x1, f1)
+
+
+def grid_max(f: Callable[[float], float], xs: Sequence[float], tol: float,
+             vals: Optional[Sequence[float]] = None) -> Tuple[float, float]:
+    """(x, f(x)), the better of the first best point of the ascending grid xs
+    and golden_max over its two cells (clipped at the ends: a 2-point grid
+    polishes the whole interval); the polish wins a tie.  vals, when given,
+    holds f at xs, for a caller that evaluates the grid in bulk.
+    """
+    if vals is None:
+        vals = [f(x) for x in xs]
+    k = vals.index(max(vals))
+    x, fx = golden_max(f, xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)], tol)
+    return (x, fx) if fx >= vals[k] else (xs[k], vals[k])
 
 
 def bisect_rising(

@@ -8,8 +8,9 @@ problem maximizes Utilde(p), the best payoff from committing to p and then
 choosing the acceptance-maximizing signal, over two candidate proposals,
 min(h, p_bar) and psi(mu0), with a dense grid as the tripwire for that
 candidate set.  Three-atom instances are handled through a restricted
-parametric family of binary signals.  Pure stdlib: interpolation uses
-bisect and the tripwire grid _numeric.linspace, so no solve imports numpy.
+parametric family of binary signals.  _numeric.grid_max (a grid, then a
+golden-section polish) searches the tripwire grid and both families.  Pure
+stdlib (bisect and _numeric), so no solve imports numpy.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ._numeric import golden_max, linspace
+from ._numeric import golden_max, grid_max, linspace
 from .accept import (
     BinaryTypeEnv,
     best_acceptable_proposal,
@@ -179,10 +180,10 @@ def solve_proposal_first_binary(
     (c(1) - c(1 - p))(p - ell) / (p - 2 ell).  For Linear, R'(p) has the
     sign of p^2 - 4 ell p + 2 ell^2, which changes sign once past 2 ell, so R
     is quasi-convex and peaks at an endpoint; a curved loss can give R an
-    interior peak.  A 2,000-point grid over [0, p_bar], its best point
-    polished by golden-section search, is the tripwire for that case: it
-    raises AssumptionViolatedError when it beats the candidates by more
-    than 1e-6 max(1, c(1)).
+    interior peak.  _numeric.grid_max over a 2,000-point grid on [0, p_bar]
+    (the better of the best grid point and its golden-section polish) is
+    the tripwire for that case: it raises AssumptionViolatedError when it
+    beats the candidates by more than 1e-6 max(1, c(1)).
     """
     mu0 = env.mu0
     p_hi, p_lo = min(env.h, env.p_bar), psi_cap(env, mu0)
@@ -196,11 +197,7 @@ def solve_proposal_first_binary(
     # The grid's best point is polished over its two cells: with c'(0) = 0
     # and h > 1, R falls at p_bar = 1, so Utilde can peak inside the last cell.
     ps = linspace(0.0, env.p_bar, 2000)
-    vals = [utilde(env, prefs, p) for p in ps]
-    k = vals.index(max(vals))  # the first best point, as np.argmax picks
-    _, grid_best = golden_max(
-        lambda p: utilde(env, prefs, p), ps[max(k - 1, 0)], ps[min(k + 1, len(ps) - 1)], _GOLDEN_TOL
-    )
+    _, grid_best = grid_max(lambda p: utilde(env, prefs, p), ps, _GOLDEN_TOL)
     if grid_best > value + 1e-6 * max(1.0, prefs.loss(1.0)):
         raise AssumptionViolatedError(
             "grid search beat the candidate proposals; quasi-convexity premise broken"
@@ -229,8 +226,8 @@ def three_type_values(
     The binary-signal search restricts to the two parametric families that
     can be optimal when types are ordered: either the highest two types
     always send the high signal and type 0 mixes, or type 0 never sends it,
-    the top type always does, and the middle type mixes.  Each branch is
-    maximized with golden-section search.
+    the top type always does, and the middle type mixes.  _numeric.grid_max
+    maximizes each branch on the 2-point grid of its interval's ends.
     """
     w0, wl = prior
     wh = 1.0 - w0 - wl
@@ -260,21 +257,11 @@ def three_type_values(
     # Past sigma0_cap the high posterior puts majority weight on type 0 and
     # the value is flat at its floor, so the cap loses nothing.
     sigma0_cap = min(1.0, (wl + wh) / w0) if w0 > 0.0 else 1.0
-    sA, vA = golden_max(
-        lambda s: split_value((s, 1.0, 1.0)), 0.0, sigma0_cap, _GOLDEN_TOL
-    )
-    for s_end in (0.0, sigma0_cap):
-        v_end = split_value((s_end, 1.0, 1.0))
-        if v_end > vA:
-            sA, vA = s_end, v_end
+    sA, vA = grid_max(lambda s: split_value((s, 1.0, 1.0)), [0.0, sigma0_cap], _GOLDEN_TOL)
 
     # Branch B: type 0 never sends the high signal, type h always does,
     # type ell mixes.
-    sB, vB = golden_max(lambda s: split_value((0.0, s, 1.0)), 0.0, 1.0, _GOLDEN_TOL)
-    for s_end in (0.0, 1.0):
-        v_end = split_value((0.0, s_end, 1.0))
-        if v_end > vB:
-            sB, vB = s_end, v_end
+    sB, vB = grid_max(lambda s: split_value((0.0, s, 1.0)), [0.0, 1.0], _GOLDEN_TOL)
 
     if vA >= vB:
         return ThreeTypeValues(

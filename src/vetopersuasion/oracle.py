@@ -13,11 +13,11 @@ Agreement with the fast paths is the evidence the fast paths are right.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import golden_max
+from ._numeric import golden_max, grid_max
 from .accept import BinaryTypeEnv, three_type_best_proposal
 from .dist import TypeDistribution
 from .errors import DomainError
@@ -34,6 +34,22 @@ def _indirect(s, prefs: ProposerPreferences):
     if type(s) is float:
         return -prefs.loss(1.0 - 2.0 * min(max(s, 0.0), 0.5))
     return -prefs.loss_array(1.0 - 2.0 * np.clip(s, 0.0, 0.5))
+
+
+def _coordinate_polish(
+    f: Callable[[List[float]], float], x: List[float], best: float,
+    step: float, lo: float, hi: float, rounds: int,
+) -> Tuple[float, List[float]]:
+    """Polish a grid winner x, worth best, one coordinate at a time: each
+    round runs golden_max on each x_i over [x_i - step, x_i + step] within
+    [lo, hi], and keeps a strictly better move.  Returns (best, x)."""
+    for _ in range(rounds):
+        for i in range(len(x)):
+            c, v = golden_max(lambda t: f([*x[:i], t, *x[i + 1:]]),
+                              max(lo, x[i] - step), min(hi, x[i] + step), _REFINE_TOL)
+            if v > best:
+                x[i], best = c, v
+    return best, x
 
 
 def _partition_value(
@@ -98,22 +114,10 @@ def partition_search(
         if vals[k] > best_val:
             best_val, best_cuts = float(vals[k]), (float(xs[ii[k] + 1]), float(xs[jj[k] + 1]))
 
-    # Coordinate-wise polish around the grid winner.
-    step = (hi - lo) / (grid_n - 1)
-    cuts = list(best_cuts)
-    for _ in range(2 if cuts else 0):
-        for m in range(len(cuts)):
-            a = max(lo, cuts[m] - step)
-            b = min(hi, cuts[m] + step)
-
-            def f(c: float, m: int = m) -> float:
-                trial = cuts.copy()
-                trial[m] = c
-                return _partition_value(d, prefs, trial)
-
-            c_star, v_star = golden_max(f, a, b, _REFINE_TOL)
-            if v_star > best_val:
-                cuts[m], best_val = c_star, v_star
+    best_val, cuts = _coordinate_polish(
+        lambda trial: _partition_value(d, prefs, trial),
+        list(best_cuts), best_val, (hi - lo) / (grid_n - 1), lo, hi, rounds=2,
+    )
     return best_val, tuple(cuts)
 
 
@@ -258,23 +262,13 @@ def binary_signal_search_atoms(
 
     total = signal_values(sig) + signal_values(1.0 - sig)
     k = int(np.argmax(total))
-    sigma = list(sig[k])
-    best = float(total[k])
-
-    step = 1.0 / (grid_n - 1)
-    for _ in range(3):
-        for i in range(3):
-            a, b = max(0.0, sigma[i] - step), min(1.0, sigma[i] + step)
-
-            def f(s: float, i: int = i) -> float:
-                trial = sigma.copy()
-                trial[i] = s
-                return _split_value_atoms(w, th, prefs, trial)
-
-            s_star, v_star = golden_max(f, a, b, _REFINE_TOL)
-            if v_star > best:
-                sigma[i], best = s_star, v_star
-    return float(best), (float(sigma[0]), float(sigma[1]), float(sigma[2]))
+    # The polish runs on Python floats: no numpy scalar in its inner loop.
+    weights, thetas = w.tolist(), th.tolist()
+    best, sigma = _coordinate_polish(
+        lambda trial: _split_value_atoms(weights, thetas, prefs, trial),
+        sig[k].tolist(), float(total[k]), 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
+    )
+    return best, (sigma[0], sigma[1], sigma[2])
 
 
 def _proposal_payoff(p, env: BinaryTypeEnv, prefs: ProposerPreferences):
@@ -300,18 +294,10 @@ def _proposal_payoff(p, env: BinaryTypeEnv, prefs: ProposerPreferences):
 def proposal_first_grid(
     env: BinaryTypeEnv, prefs: ProposerPreferences, grid_n: int = 4001
 ) -> Tuple[float, float]:
-    """Arg-max of the committed-proposal payoff over a dense grid."""
+    """Arg-max of the committed-proposal payoff over a dense grid, with the
+    best grid point polished by golden-section search (_numeric.grid_max)."""
     if grid_n > 100_001:
         raise DomainError(f"grid_n capped at 100001, got {grid_n}")
     ps = np.linspace(0.0, env.p_bar, grid_n)
-    vals = _proposal_payoff(ps, env, prefs)
-    k = int(np.argmax(vals))
-    p_star, v_star = golden_max(
-        lambda p: _proposal_payoff(p, env, prefs),
-        float(ps[max(0, k - 1)]),
-        float(ps[min(grid_n - 1, k + 1)]),
-        _REFINE_TOL,
-    )
-    if v_star >= vals[k]:
-        return p_star, v_star
-    return float(ps[k]), float(vals[k])
+    vals = _proposal_payoff(ps, env, prefs).tolist()
+    return grid_max(lambda p: _proposal_payoff(p, env, prefs), ps.tolist(), _REFINE_TOL, vals)

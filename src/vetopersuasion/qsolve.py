@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
-from ._numeric import bisect_rising, brentq, golden_max
+from ._numeric import bisect_rising, brentq, grid_max, linspace
 from .dist import FiniteAtoms, TypeDistribution, UniformInterval
 from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
@@ -201,8 +201,8 @@ def solve_proposal_first(
 ) -> SolveOutcome:
     """Optimal proposal-then-experiment outcome, computed independently.
 
-    Optimizes the committed proposal over a dense grid followed by local
-    golden-section refinement; for each proposal the best experiment is the
+    _numeric.grid_max maximizes the committed proposal's value on 801 points
+    of [0, min(2 theta_hi, 1)]; for each proposal the best experiment is the
     acceptance-probability-maximizing cutoff.
     """
     _require_continuous(d)
@@ -212,18 +212,10 @@ def solve_proposal_first(
         return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -c1, 1.0)
     mean = d.mean()
 
-    p_max = min(2.0 * theta_hi, 1.0)
-    n = 801
-    step = p_max / (n - 1)
-    grid = [i * step for i in range(n)]
-    # n-1 steps can round one ulp short of p_max, past the p >= 2 theta_hi
-    # guard of _proposal_value; end the grid on p_max exactly.
-    grid[-1] = p_max
-    vals = [_proposal_value(d, prefs, p) for p in grid]
-    k = max(range(n), key=vals.__getitem__)
-    lo = grid[max(0, k - 1)]
-    hi = grid[min(n - 1, k + 1)]
-    p_opt, value = golden_max(lambda p: _proposal_value(d, prefs, p), lo, hi, _GOLDEN_TOL)
+    # linspace ends on min(2 theta_hi, 1) exactly: 800 steps can round an ulp
+    # short of 2 theta_hi, past the p >= 2 theta_hi guard of _proposal_value.
+    grid = linspace(0.0, min(2.0 * theta_hi, 1.0), 801)
+    p_opt, value = grid_max(lambda p: _proposal_value(d, prefs, p), grid, _GOLDEN_TOL)
 
     if mean >= 0.5:
         return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)

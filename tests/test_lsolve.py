@@ -20,7 +20,6 @@ from vetopersuasion import (
     uhat,
     utilde,
 )
-from vetopersuasion import lsolve
 from vetopersuasion.oracle import concave_envelope_oracle, proposal_first_grid
 
 LIN = Linear()
@@ -252,23 +251,6 @@ class TestProposalFirstBinary:
         with pytest.raises(AssumptionViolatedError):
             solve_proposal_first_binary(BinaryTypeEnv(0.02, 0.8, 0.25), Power(6.0))
 
-    def test_tripwire_tie_picks_the_first_best_point(self, monkeypatch):
-        # A payoff flat at its maximum from grid point k on: the polish
-        # brackets the first best point, as np.argmax chose it.
-        ps = np.linspace(0.0, EX1.p_bar, 2000)
-        k = 700
-        monkeypatch.setattr(lsolve, "utilde", lambda env, prefs, p: float(p >= ps[k]))
-        brackets = []
-
-        def polish(f, lo, hi, tol):
-            brackets.append((lo, hi))
-            return lo, f(lo)
-
-        monkeypatch.setattr(lsolve, "golden_max", polish)
-        solve_proposal_first_binary(EX1, LIN)
-        assert int(np.argmax([float(p >= ps[k]) for p in ps])) == k
-        assert brackets == [(ps[k - 1], ps[k + 1])]
-
     def test_surely_accepted_candidate_at_a_large_scale(self):
         # phi(psi(mu0)) rounds above mu0 here; the candidate psi(mu0) is
         # still worth -c(1 - psi(mu0)), the no-information value that
@@ -279,6 +261,9 @@ class TestProposalFirstBinary:
         assert e is None and pf.regime == "NoInfo"
         assert p == psi_cap(EX1, EX1.mu0) and v == -prefs.loss(1.0 - p)
         assert v == pytest.approx(pf.value, rel=1e-12)
+        # The payoff drops off a cliff just past psi(mu0); the oracle's
+        # polish stops short of it and reaches the solver's value.
+        assert proposal_first_grid(EX1, prefs, 4001)[1] == pytest.approx(v, rel=1e-9)
 
     def test_curved_loss_solves(self):
         env, prefs = BinaryTypeEnv(0.1, 0.7, 0.3), Power(2.0)

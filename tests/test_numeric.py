@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import vetopersuasion
 from vetopersuasion import NoRootError
-from vetopersuasion._numeric import _S_TOL, bisect_rising, brentq, golden_max, linspace
+from vetopersuasion._numeric import _S_TOL, bisect_rising, brentq, golden_max, grid_max, linspace
 
 ENDS = st.floats(-1e300, 1e300)
 
@@ -25,6 +25,68 @@ def test_golden_max_finds_the_maximiser(tol):
 def test_golden_max_at_an_endpoint():
     x, _ = golden_max(math.exp, 0.0, 1.0, 1e-10)
     assert 1.0 - x <= 1e-10
+
+
+def _recording(f):
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return f(x)
+
+    return g, calls
+
+
+@pytest.mark.parametrize("cliff", [0.3, 0.54, 0.58, 0.62])
+def test_golden_max_stops_short_of_a_cliff(cliff):
+    # f rises to the cliff and then drops; the last bracket's midpoint can
+    # lie past it (at 0.54, 0.58 and 0.62), the best evaluated point cannot.
+    f, calls = _recording(lambda t: t if t <= cliff else -1.0)
+    x, fx = golden_max(f, 0.0, 1.0, 1e-10)
+    assert x <= cliff and fx == x and cliff - x <= 1e-10
+    assert x == max(c for c in calls if c <= cliff)  # the best point evaluated
+
+
+def test_grid_max_ties_pick_the_first_best_point():
+    # Flat at its maximum from grid point 7 on: the polish brackets point 7.
+    xs = linspace(0.0, 1.0, 21)
+    f, calls = _recording(lambda t: float(t >= xs[7]))
+    x, fx = grid_max(f, xs, 1e-10)
+    polish = calls[len(xs):]
+    assert fx == 1.0 and xs[6] < min(polish) and max(polish) < xs[8]
+
+
+@pytest.mark.parametrize("peak, lo, hi", [(0.0, 0.0, 0.1), (1.0, 0.9, 1.0), (0.52, 0.45, 0.55)])
+def test_grid_max_polishes_the_neighbour_cells(peak, lo, hi):
+    # The polish bracket is the best point's two neighbours, clipped at the
+    # grid's ends.
+    xs = linspace(0.0, 1.0, 21)
+    f, calls = _recording(lambda t: -abs(t - peak))
+    x, _ = grid_max(f, xs, 1e-10)
+    polish = calls[len(xs):]
+    assert lo < min(polish) and max(polish) < hi
+    assert abs(x - peak) <= 1e-10
+
+
+def test_grid_max_keeps_a_better_grid_point():
+    # A spike at the grid point 0.5 that the polish cannot find.
+    xs = linspace(0.0, 1.0, 11)
+    x, fx = grid_max(lambda t: 1.0 if t == 0.5 else -abs(t - 0.5), xs, 1e-10)
+    assert (x, fx) == (0.5, 1.0)
+
+
+def test_grid_max_uses_given_values():
+    # Given values stand for f on the grid: f runs only in the polish.
+    f, calls = _recording(lambda t: -((t - 0.6) ** 2))
+    assert grid_max(f, [0.0, 0.5, 1.0], 1e-10, [0.0, 0.0, 1.0]) == (1.0, 1.0)
+    assert 0.5 < min(calls) and max(calls) < 1.0
+
+
+def test_grid_max_two_point_grid_polishes_the_interval():
+    f, calls = _recording(lambda t: -((t - 0.3) ** 2))
+    x, fx = grid_max(f, [0.0, 1.0], 1e-10)
+    assert abs(x - 0.3) <= 1e-10 and fx == f(x)
+    assert calls[:2] == [0.0, 1.0] and 0.0 < min(calls[2:]) and max(calls[2:]) < 1.0
 
 
 @pytest.mark.parametrize("target", [-0.7, 0.0, 0.123456789, 0.5])

@@ -203,6 +203,18 @@ def test_solve_cutoff_matches_bisection(d, prefs):
         assert s_upper == d.cond_mean_above(s_star)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.one_of(UNIFORMS, TILTS), LOSSES)
+def test_timings_agree_property(d, prefs):
+    # A timing may refuse an instance with no mass left above its cutoff
+    # (theta_hi near 0); where both solve, their values agree.
+    try:
+        pf, pp = solve_persuasion_first(d, prefs), solve_proposal_first(d, prefs)
+    except FullMassBelowError:
+        return
+    assert abs(pp.value - pf.value) <= 1e-9 * max(1.0, prefs.loss(1.0))
+
+
 @pytest.mark.parametrize(
     "d", [U11, UniformInterval(-1.0, 0.8), lr_tilt(UniformInterval(-1.0, 0.8), 1.0)]
 )
