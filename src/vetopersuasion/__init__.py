@@ -17,7 +17,6 @@ from .dist import (
 )
 from .errors import (
     AssumptionViolatedError,
-    DegenerateGridError,
     DomainError,
     FullMassBelowError,
     NoRootError,
@@ -26,9 +25,7 @@ from .errors import (
 )
 from .lsolve import (
     BinarySolveOutcome,
-    Envelope,
     ThreeTypeValues,
-    concavify,
     solve_persuasion_first_binary,
     solve_proposal_first_binary,
     three_type_values,
@@ -58,9 +55,7 @@ __all__ = [
     "AssumptionViolatedError",
     "BinarySolveOutcome",
     "BinaryTypeEnv",
-    "DegenerateGridError",
     "DomainError",
-    "Envelope",
     "Exponential",
     "ExponentialTilt",
     "FiniteAtoms",
@@ -77,7 +72,6 @@ __all__ = [
     "UnsupportedCombinationError",
     "VetoPersuasionError",
     "best_acceptable_proposal",
-    "concavify",
     "dist_from_literal",
     "indirect_u",
     "lr_tilt",

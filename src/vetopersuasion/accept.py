@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence, Tuple
 
 from .errors import DomainError
@@ -39,6 +40,12 @@ class BinaryTypeEnv:
     def p_bar(self) -> float:
         """Largest proposal any belief can support: min(2h, 1)."""
         return min(2.0 * self.h, 1.0)
+
+    @cached_property
+    def psi_mu0(self) -> float:
+        """psi(mu0), the largest proposal surely accepted at the prior;
+        computed once per environment, as Utilde compares each p with it."""
+        return psi_cap(self, self.mu0)
 
 
 def phi_threshold(env: BinaryTypeEnv, p: float) -> float:

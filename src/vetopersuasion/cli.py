@@ -280,6 +280,9 @@ def cmd_oracle(args: argparse.Namespace) -> int:
             ("proposal-grid", abs(v_g - value) <= tol, f"grid {v_g:.9g} vs {value:.9g}")
         )
         pf = lsolve.solve_persuasion_first_binary(env, prefs)
+        v_s, (a, b) = oracle.split_search(env, prefs, min(args.grid or 2001, 2001))
+        checks.append(("split-search", abs(v_s - pf.value) <= tol,
+                       f"split {v_s:.9g} at ({a:.6g}, {b:.6g}) vs {pf.value:.9g}"))
         ordered = pf.value >= value - 1e-10 * scale
         checks.append(("timing-order", ordered, f"{pf.value:.9g} >= {value:.9g}"))
     else:

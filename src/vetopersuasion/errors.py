@@ -23,7 +23,3 @@ class AssumptionViolatedError(VetoPersuasionError):
 
 class NoRootError(VetoPersuasionError):
     """A root finder was called with preconditions that rule out a root."""
-
-
-class DegenerateGridError(VetoPersuasionError):
-    """A grid argument is too small to define the requested construction."""

@@ -1,24 +1,23 @@
 """Solvers for a linear-loss Vetoer with two or three bliss-point atoms.
 
-With two atoms {ell, h} a belief is the probability mu on the high type,
-and the persuasion-first problem concavifies the indirect utility
-Uhat(mu) = -c(1 - psi(mu)) over four exact beliefs, not a grid (two states
-need at most two posteriors: Kamenica & Gentzkow 2011).  The proposal-first
-problem maximizes Utilde(p), the best payoff from committing to p and then
-choosing the acceptance-maximizing signal, over two candidate proposals,
-min(h, p_bar) and psi(mu0), with a dense grid as the tripwire for that
-candidate set.  Three-atom instances are handled through a restricted
-parametric family of binary signals.  _numeric.grid_max (a grid, then a
-golden-section polish) searches the tripwire grid and both families.  Pure
-stdlib (bisect and _numeric), so no solve imports numpy.
+With two atoms {ell, h} a belief is the probability mu on the high type.
+Two states need at most two posteriors (Kamenica & Gentzkow 2011), and the
+persuasion-first problem splits the prior into {0, t}, where t is the
+tangency point of the secant from 0 to Uhat(mu) = -c(1 - psi(mu)), or
+reveals nothing: no hull walk and no grid.  The proposal-first problem
+maximizes Utilde(p), the best payoff from committing to p and then choosing
+the acceptance-maximizing signal, over two candidate proposals, min(h,
+p_bar) and psi(mu0), with a dense grid as the tripwire for that candidate
+set.  Three-atom instances are handled through a restricted parametric
+family of binary signals.  _numeric.grid_max (a grid, then a golden-section
+polish) searches the tripwire grid and both families.  Pure stdlib
+(_numeric only), so no solve imports numpy.
 """
 
 from __future__ import annotations
 
-import sys
-from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ._numeric import golden_max, grid_max, linspace
 from .accept import (
@@ -28,30 +27,10 @@ from .accept import (
     psi_cap,
     three_type_best_proposal,
 )
-from .errors import AssumptionViolatedError, DegenerateGridError, DomainError
+from .errors import AssumptionViolatedError, DomainError
 from .prefs import ProposerPreferences
 
 _GOLDEN_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class Envelope:
-    """Upper concave envelope of a finite point set, piecewise linear."""
-
-    breakpoints: Tuple[Tuple[float, float], ...]
-
-    def value(self, mu: float) -> float:
-        """Linear interpolation as np.interp does it: a breakpoint's own
-        value at each breakpoint (the last included), else the chord's."""
-        xs = [b[0] for b in self.breakpoints]
-        if not xs[0] <= mu <= xs[-1]:
-            raise DomainError(f"{mu} outside envelope domain [{xs[0]}, {xs[-1]}]")
-        j = bisect_right(xs, mu) - 1  # xs[j] <= mu < xs[j + 1]
-        xa, ya = self.breakpoints[j]
-        if mu == xa:
-            return float(ya)
-        xb, yb = self.breakpoints[j + 1]
-        return (yb - ya) / (xb - xa) * (mu - xa) + ya
 
 
 @dataclass(frozen=True)
@@ -66,73 +45,29 @@ def uhat(env: BinaryTypeEnv, prefs: ProposerPreferences, mu: float) -> float:
     return -prefs.loss(1.0 - psi_cap(env, mu))
 
 
-def concavify(
-    points: Sequence[Tuple[float, float]], mu0: float
-) -> Tuple[Envelope, float, Tuple[Tuple[float, float], ...]]:
-    """Upper concave envelope of (mu, value) points plus its split at mu0.
-
-    Returns the envelope, its value at mu0, and the supporting posteriors
-    as ((mu, weight), ...) — the hull segment endpoints bracketing mu0 with
-    the unique weights averaging to mu0 (a single degenerate support when
-    mu0 is itself a hull vertex).
-    """
-    if len(points) < 2:
-        raise DegenerateGridError("concavification needs at least 2 points")
-    # One point per mu, the highest: sorted by (mu, value), the last one wins.
-    dedup = list(dict(sorted(points)).items())
-    if len(dedup) < 2:
-        raise DegenerateGridError("concavification needs at least 2 distinct mu")
-    if not dedup[0][0] <= mu0 <= dedup[-1][0]:
-        raise DomainError(f"mu0={mu0} outside the grid span")
-
-    # Monotone-chain upper hull.  A point leaves it only when it lies below its
-    # neighbours' chord by over 1e-12 of the value range plus 8 ulps: collinear
-    # points stay, rounded or not, so the supports are the nearest contacts.
-    ys = [y for _, y in dedup]
-    tol = 1e-12 * (max(ys) - min(ys)) + 8.0 * sys.float_info.epsilon * max(map(abs, ys))
-    hull: List[Tuple[float, float]] = []
-    for p in dedup:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (p[0] - x1) * (y2 - y1) <= tol * (p[0] - x1):
-                break
-            hull.pop()
-        hull.append(p)
-
-    env = Envelope(tuple(hull))
-
-    k = bisect_right([x for x, _ in hull], mu0) - 1  # hull[k][0] <= mu0
-    xa, ya = hull[k]
-    if mu0 == xa:
-        return env, ya, ((xa, 1.0),)
-    xb, yb = hull[k + 1]
-    w = (xb - mu0) / (xb - xa)
-    return env, w * ya + (1.0 - w) * yb, ((xa, w), (xb, 1.0 - w))
-
-
 def solve_persuasion_first_binary(
     env: BinaryTypeEnv, prefs: ProposerPreferences
 ) -> BinarySolveOutcome:
     """Optimal experiment-then-proposal outcome with two atom types.
 
-    The hull of uhat at mu in {0, mu0, t, 1} gives the value, posteriors
-    and regime (one support: NoInfo, two: Split).  Let p = min(h, p_bar),
-    k = phi(p), u(a) = -c(1 - a) and A = c''/c'.  On [k, 1] psi is affine,
-    then flat, and the kinks at phi(h) (psi' drops from 2 (h - ell)^2 / ell
-    to 2 (h - ell)) and phi(p_bar) are concave, so uhat is concave.  On
-    [0, k) psi = 2 ell (1 - mu) / (1 - 2 mu) and uhat'' has the sign of
-    2 (1 - 2 mu) - ell A(1 - psi), which falls as mu rises (A is 0,
-    (gamma - 1)/x or alpha): uhat is convex, then concave.  So the secant
-    slope S(m) = (uhat(m) - uhat(0)) / m rises, then falls on (0, k], with
-    peak t; none lies past k, as c is convex: S(k) >= c'(1 - p)(p - 2 ell)/k
-    >= uhat'(k+).  The envelope is the line from 0 to t, then uhat: mu0 < t
-    splits {0, t}, else mu0 stays a hull vertex.  S still rises at k, and
-    t = k exactly, when k c'(1 - p) p^2 / (2 (1 - k)^2) >= ell (uhat(k) -
-    uhat(0)), as ell psi' = psi^2 / (2 (1 - mu)^2): on every Linear
-    instance, and for ell = 0, where psi jumps from 0 to p at k = 1/2 (no
-    division by 1 - 2k).  Else golden-section search finds t, and k wins
-    what it cannot resolve (c'(0) = 0, p = 1, tiny ell: t ~ k - ell^2/4).
-    k <= 0 leaves uhat concave on [0, 1], and t = 0.
+    If 0 < mu0 < t, the prior splits into {0, t} (regime Split), worth the
+    chord of uhat between them; else the regime is NoInfo, worth uhat(mu0).
+    Why: let p = min(h, p_bar), k = phi(p), u(a) = -c(1 - a) and A = c''/c'.
+    On [k, 1] psi is affine, then flat, and the kinks at phi(h) (psi' drops
+    from 2 (h - ell)^2 / ell to 2 (h - ell)) and phi(p_bar) are concave, so
+    uhat is concave.  On [0, k) psi = 2 ell (1 - mu) / (1 - 2 mu) and uhat''
+    has the sign of 2 (1 - 2 mu) - ell A(1 - psi), which falls as mu rises
+    (A is 0, (gamma - 1)/x or alpha): uhat is convex, then concave.  So the
+    secant slope S(m) = (uhat(m) - uhat(0)) / m rises, then falls on (0, k],
+    with peak t; none lies past k, as c is convex: S(k) >= c'(1 - p)(p -
+    2 ell)/k >= uhat'(k+).  The concave envelope of uhat is therefore the
+    line from 0 to t, then uhat.  S still rises at k, and t = k exactly,
+    when k c'(1 - p) p^2 / (2 (1 - k)^2) >= ell (uhat(k) - uhat(0)), as
+    ell psi' = psi^2 / (2 (1 - mu)^2): on every Linear instance, and for
+    ell = 0, where psi jumps from 0 to p at k = 1/2 (no division by
+    1 - 2k).  Else golden-section search finds t, and k wins what it cannot
+    resolve (c'(0) = 0, p = 1, tiny ell: t ~ k - ell^2/4).  k <= 0 leaves
+    uhat concave on [0, 1], and t = 0.
     """
     mu0, k = env.mu0, phi_threshold(env, min(env.h, env.p_bar))
     t = max(k, 0.0)
@@ -140,22 +75,27 @@ def solve_persuasion_first_binary(
     if t * prefs.loss_deriv(1.0 - psi) * psi**2 / (2.0 * (1.0 - t) ** 2) < env.ell * (ut - u0):
         peak, s = golden_max(lambda m: (uhat(env, prefs, m) - u0) / m, 0.0, k, _GOLDEN_TOL)
         t = peak if s > (ut - u0) / k else k
-    points = [(mu, uhat(env, prefs, mu)) for mu in (0.0, mu0, t, 1.0)]
-    _, value, supports = concavify(points, mu0)
-    posteriors = tuple((mu, w, psi_cap(env, mu)) for mu, w in supports)
-    return BinarySolveOutcome(value, posteriors, "NoInfo" if len(supports) == 1 else "Split")
+    if 0.0 < mu0 < t:
+        w = (t - mu0) / t
+        posteriors = ((0.0, w, psi_cap(env, 0.0)), (t, 1.0 - w, psi_cap(env, t)))
+        return BinarySolveOutcome(w * u0 + (1.0 - w) * uhat(env, prefs, t), posteriors, "Split")
+    return BinarySolveOutcome(uhat(env, prefs, mu0), ((mu0, 1.0, env.psi_mu0),), "NoInfo")
 
 
 def utilde(env: BinaryTypeEnv, prefs: ProposerPreferences, p: float) -> float:
     """Best payoff from committing to proposal p, then choosing the signal
-    that maximizes its acceptance probability."""
+    that maximizes its acceptance probability.
+
+    Up to psi(mu0) the proposal passes surely and is worth -c(1 - p); past
+    it, it passes with odds mu0 / phi(p).  The branch compares p with
+    psi(mu0), not phi(p) with mu0: phi(psi(mu0)) can round above mu0, and
+    the odds branch then cancels at a large c(1)."""
     if not 0.0 <= p <= env.p_bar:
         raise DomainError(f"proposal must lie in [0, {env.p_bar}], got {p}")
-    c1 = prefs.loss(1.0)
-    phi = phi_threshold(env, p)
-    if phi <= env.mu0:
+    if p <= env.psi_mu0:
         return -prefs.loss(1.0 - p)
-    return -c1 + (env.mu0 / phi) * (c1 - prefs.loss(1.0 - p))
+    c1 = prefs.loss(1.0)
+    return -c1 + (env.mu0 / phi_threshold(env, p)) * (c1 - prefs.loss(1.0 - p))
 
 
 def solve_proposal_first_binary(
@@ -166,11 +106,8 @@ def solve_proposal_first_binary(
     The experiment, when information is used, is the binary split of mu0
     into posteriors {0, phi(p_opt)}; None means no information.  It is used
     exactly when p_opt exceeds psi(mu0), the largest surely-accepted
-    proposal.  Two candidates are compared, min(h, p_bar) and psi(mu0),
-    the latter valued -c(1 - psi(mu0)) outright (phi(psi(mu0)) can round
-    above mu0, and Utilde's acceptance-odds branch then cancels at a large
-    c(1)); a tie goes to the first.  Up to psi(mu0) Utilde(p) = -c(1 - p)
-    rises.  Past it Utilde = -c(1) + mu0 (c(1) - c(1 - p)) / phi(p), and on
+    proposal.  Two candidates are compared, min(h, p_bar) and psi(mu0); a
+    tie goes to the first.  Up to psi(mu0) Utilde(p) = -c(1 - p) rises.  Past it Utilde = -c(1) + mu0 (c(1) - c(1 - p)) / phi(p), and on
     [h, p_bar], where phi(p) = (p - 2 ell) / (2 (h - ell)), its slope has
     the sign of c'(1 - p)(p - 2 ell) - (c(1) - c(1 - p)), which is at most
     -2 ell c'(1 - p) <= 0 because c is convex (c(1) - c(1 - p) >= p c'(1 - p)).
@@ -186,8 +123,8 @@ def solve_proposal_first_binary(
     beats the candidates by more than 1e-6 max(1, c(1)).
     """
     mu0 = env.mu0
-    p_hi, p_lo = min(env.h, env.p_bar), psi_cap(env, mu0)
-    v_hi, v_lo = utilde(env, prefs, p_hi), -prefs.loss(1.0 - p_lo)
+    p_hi, p_lo = min(env.h, env.p_bar), env.psi_mu0
+    v_hi, v_lo = utilde(env, prefs, p_hi), utilde(env, prefs, p_lo)
     p_opt, value = (p_hi, v_hi) if v_hi >= v_lo else (p_lo, v_lo)
     experiment = None
     if p_opt > p_lo:

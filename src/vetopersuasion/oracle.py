@@ -1,13 +1,14 @@
 """Brute-force verifiers and optimality certificates.
 
 Everything here is brute force and structurally independent of the trusted
-solvers: payoffs are recomputed from the loss primitives, hulls are built by
-pairwise-segment maxima instead of a hull walk, and optima are located by
-exhaustive grids with a golden-section polish.  The grids are vectorised over
-the loss primitives (``ProposerPreferences.loss_array``), which shares no
-model logic with the solvers, and the binary proposal grid derives acceptance
-from the Vetoer's absolute loss rather than from ``accept``.  The one solver
-piece still shared is ``three_type_best_proposal``, in the three-type polish.
+solvers: payoffs are recomputed from the loss primitives, the binary
+persuasion-first value is the best split of the prior over every pair of
+grid beliefs instead of a tangency, and optima are located by exhaustive
+grids with a golden-section polish.  The grids are vectorised over the loss
+primitives (``ProposerPreferences.loss_array``), which shares no model
+logic with the solvers, and the binary checks derive acceptance from the
+Vetoer's absolute loss rather than from ``accept``.  The one solver piece
+still shared is ``three_type_best_proposal``, in the three-type polish.
 Agreement with the fast paths is the evidence the fast paths are right.
 """
 
@@ -21,7 +22,6 @@ from ._numeric import golden_max, grid_max
 from .accept import BinaryTypeEnv, three_type_best_proposal
 from .dist import TypeDistribution
 from .errors import DomainError
-from .lsolve import Envelope
 from .prefs import ProposerPreferences
 
 _REFINE_TOL = 1e-10
@@ -172,28 +172,28 @@ def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price, grid_n: 
     return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
 
-def concave_envelope_oracle(points: Sequence[Tuple[float, float]]) -> Envelope:
-    """Upper concave envelope by brute force.
-
-    The envelope value at each grid point is the maximum over all pairs of
-    input points of the connecting segment evaluated there — no hull walk.
-    """
-    pts = sorted(points)
-    if len(pts) < 2:
-        raise DomainError("need at least 2 points")
-    x = np.array([p[0] for p in pts])
-    y = np.array([p[1] for p in pts])
-    n = len(pts)
-    env = y.copy()
-    for j in range(n):
-        for k in range(j + 1, n):
-            if x[k] == x[j]:
-                continue
-            inside = (x >= x[j]) & (x <= x[k])
-            t = (x[inside] - x[j]) / (x[k] - x[j])
-            seg = (1.0 - t) * y[j] + t * y[k]
-            env[inside] = np.maximum(env[inside], seg)
-    return Envelope(tuple((float(a), float(b)) for a, b in zip(x, env)))
+def _largest_accepted(wq: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Largest proposal in [0, min(2 max theta, 1)] that each row of wq,
+    (unnormalized) belief weights on the bliss points th >= 0, accepts under
+    the Vetoer's absolute loss.  The acceptance gap A(p) = sum_i q_i
+    (|theta_i| - |p - theta_i|) is concave and piecewise linear with kinks at
+    the atoms, and A(0) = 0: its largest root is found right to left."""
+    p_bar = min(2.0 * float(th.max()), 1.0)
+    breaks = np.array(sorted({0.0, *(t for t in th if 0.0 < t < p_bar), p_bar}))
+    A = np.zeros((wq.shape[0], len(breaks)))
+    for m, b in enumerate(breaks):
+        A[:, m] = wq @ (np.abs(th) - np.abs(b - th))
+    p = np.zeros(wq.shape[0])
+    done = A[:, -1] >= 0.0
+    p[done] = breaks[-1]
+    for m in range(len(breaks) - 1, 0, -1):
+        lo_v, hi_v = A[:, m - 1], A[:, m]
+        hit = (~done) & (lo_v >= 0.0) & (hi_v < 0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            root = breaks[m - 1] + lo_v * (breaks[m] - breaks[m - 1]) / (lo_v - hi_v)
+        p[hit] = root[hit]
+        done |= hit
+    return p
 
 
 def _split_value_atoms(
@@ -231,8 +231,6 @@ def binary_signal_search_atoms(
     if w.min() < -1e-12:
         raise DomainError(f"bad prior {prior}")
     th = np.array(levels)
-    p_bar = min(2.0 * th[2], 1.0)
-    breaks = np.array(sorted({0.0, *(t for t in th if 0.0 < t < p_bar), p_bar}))
 
     g = np.linspace(0.0, 1.0, grid_n)
     sig = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -241,23 +239,7 @@ def binary_signal_search_atoms(
         # Expected payoff contributed by one signal whose send-probability
         # per type is the columns of sigma, vectorized over rows.
         mass = sigma @ w
-        wq = sigma * w  # unnormalized posterior weights
-        # Acceptance gap A(p) = sum_i q_i (|theta_i| - |p - theta_i|),
-        # evaluated (unnormalized) at each breakpoint.
-        A = np.zeros((sigma.shape[0], len(breaks)))
-        for m, b in enumerate(breaks):
-            A[:, m] = wq @ (np.abs(th) - np.abs(b - th))
-        # Largest root of the concave piecewise-linear gap, right to left.
-        p = np.zeros(sigma.shape[0])
-        done = A[:, -1] >= 0.0
-        p[done] = breaks[-1]
-        for m in range(len(breaks) - 1, 0, -1):
-            lo_v, hi_v = A[:, m - 1], A[:, m]
-            hit = (~done) & (lo_v >= 0.0) & (hi_v < 0.0)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                root = breaks[m - 1] + lo_v * (breaks[m] - breaks[m - 1]) / (lo_v - hi_v)
-            p[hit] = root[hit]
-            done |= hit
+        p = _largest_accepted(sigma * w, th)  # unnormalized posterior weights
         return np.where(mass > 1e-15, mass * -prefs.loss_array(1.0 - p), 0.0)
 
     total = signal_values(sig) + signal_values(1.0 - sig)
@@ -301,3 +283,42 @@ def proposal_first_grid(
     ps = np.linspace(0.0, env.p_bar, grid_n)
     vals = _proposal_payoff(ps, env, prefs).tolist()
     return grid_max(lambda p: _proposal_payoff(p, env, prefs), ps.tolist(), _REFINE_TOL, vals)
+
+
+def _grid_split(
+    env: BinaryTypeEnv, prefs: ProposerPreferences, mus: np.ndarray
+) -> Tuple[float, List[float]]:
+    """Best split of the prior mu0 into two beliefs a <= mu0 <= b from the
+    ascending candidates mus (mu0 among them), all pairs scored at once:
+    weight (b - mu0) / (b - a) on a and the rest on b, or no information
+    when a = b = mu0.  Returns (value, [a, b])."""
+    mu0 = env.mu0
+    p = _largest_accepted(np.stack([1.0 - mus, mus], axis=1), np.array([env.ell, env.h]))
+    u = -prefs.loss_array(1.0 - p)
+    i = int(np.searchsorted(mus, mu0))  # mus[i] == mu0
+    a, b = mus[: i + 1, None], mus[None, i:]
+    with np.errstate(invalid="ignore"):  # a = b = mu0: 0 / 0, set below
+        w = (b - mu0) / (b - a)
+    vals = w * u[: i + 1, None] + (1.0 - w) * u[None, i:]
+    vals[-1, 0] = u[i]
+    ka, kb = np.unravel_index(int(np.argmax(vals)), vals.shape)
+    return float(vals[ka, kb]), [float(a[ka, 0]), float(b[0, kb])]
+
+
+def split_search(
+    env: BinaryTypeEnv, prefs: ProposerPreferences, grid_n: int = 2001
+) -> Tuple[float, Tuple[float, float]]:
+    """Best split of the prior mu0 into two beliefs a <= mu0 <= b: the best
+    pair from a grid of [0, 1] plus mu0 (_grid_split), polished coordinate
+    by coordinate.  A polish trial x is scored over the pairs of {x, mu0},
+    so a trial that does not bracket mu0 reads as no information.
+    Returns (value, (a, b))."""
+    if grid_n > 2001:
+        raise DomainError(f"grid_n capped at 2001, got {grid_n}")
+    mu0 = env.mu0
+    best, x = _grid_split(env, prefs, np.union1d(np.linspace(0.0, 1.0, grid_n), [mu0]))
+    best, (lo, hi) = _coordinate_polish(
+        lambda x: _grid_split(env, prefs, np.union1d(x, [mu0]))[0],
+        x, best, 1.0 / (grid_n - 1), 0.0, 1.0, rounds=2,
+    )
+    return best, (lo, hi)

@@ -14,7 +14,6 @@ from vetopersuasion import (
     Power,
     Regime,
     UniformInterval,
-    concavify,
     lr_tilt,
     phi_threshold,
     solve_persuasion_first,
@@ -22,13 +21,13 @@ from vetopersuasion import (
     solve_proposal_first,
     solve_proposal_first_binary,
     three_type_values,
-    uhat,
 )
 from vetopersuasion.closedform import kappa, u_bi, u_fl1, u_fl2, u_no
 from vetopersuasion.oracle import (
     binary_signal_search_atoms,
     partition_search,
     proposal_first_grid,
+    split_search,
     verify_certificate,
 )
 
@@ -124,10 +123,7 @@ def test_criterion_05_example_one():
     ok = regimes[mu_b - 0.02] == "Split" and regimes[mu_b] == "NoInfo" == regimes[mu_b + 0.02]
 
     env_b = BinaryTypeEnv(0.1, 0.7, mu_b)
-    grid = [(m, uhat(env_b, LIN, m)) for m in np.linspace(0.0, 1.0, 4001)] + [
-        (mu_b, uhat(env_b, LIN, mu_b))
-    ]
-    _, split_val, _ = concavify(grid, mu_b)
+    split_val, _ = split_search(env_b, LIN, 2001)
     boundary_gap = abs(solve_persuasion_first_binary(env_b, LIN).value - split_val)
     ok = ok and boundary_gap <= 1e-9
 

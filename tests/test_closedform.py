@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from vetopersuasion import DomainError, UniformInterval
+from vetopersuasion import (
+    DomainError,
+    FullMassBelowError,
+    Linear,
+    Regime,
+    UniformInterval,
+    solve_persuasion_first,
+)
 from vetopersuasion.closedform import (
     kappa,
     linear_case_uniform,
@@ -93,3 +101,29 @@ def test_linear_case_uniform():
     cut, acc = linear_case_uniform(-3.0, 2.0)
     assert cut == pytest.approx(-1.0)
     assert acc == pytest.approx(3.0 / 5.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-2.0, 0.0, exclude_max=True), st.floats(0.0, 2.0, exclude_min=True))
+@example(-1.0, 1.0)  # hi = 1: the cutoff is 0 on both sides
+@example(-3.0 / 4.0, 7.0 / 4.0)  # cut = theta_lo: the ideal is accepted
+@example(-2.0, 5e-324)  # no float mass above 0: the solver refuses
+@example(-2.2250738585072014e-308, 0.6821104147023181)  # 2 (mean - lo) rounds to 2 mean
+@example(-1.1125369292536007e-308, 1.0)  # the mean rounds to 1/2
+def test_linear_case_uniform_matches_the_solver(lo, hi):
+    cut, accept = linear_case_uniform(lo, hi)
+    try:
+        r = solve_persuasion_first(UniformInterval(lo, hi), Linear())
+    except FullMassBelowError:
+        # The solver will not condition on theta >= 0 with at most 1e-12 of
+        # mass above it (the FOUND entry in CHANGES.md): the closed form's
+        # acceptance probability is that mass.
+        assert cut == 0.0 and accept <= 1e-12
+        return
+    if cut == lo:
+        assert r.regime is Regime.IDEAL_ACCEPTED
+    # Without information the cutoff sits at theta_lo; where |theta_lo| is
+    # below rounding the solver can read no information for a cutoff at 0.
+    s_star = r.s_star if r.regime is Regime.BINARY_CUTOFF else lo
+    assert abs(s_star - cut) <= 1e-9
+    assert abs(1.0 - r.veto_prob - accept) <= 1e-9

@@ -5,13 +5,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from vetopersuasion import (
     AssumptionViolatedError,
     BinaryTypeEnv,
-    DegenerateGridError,
-    DomainError,
-    Envelope,
     Exponential,
     Linear,
     Power,
-    concavify,
     phi_threshold,
     psi_cap,
     solve_persuasion_first_binary,
@@ -20,7 +16,7 @@ from vetopersuasion import (
     uhat,
     utilde,
 )
-from vetopersuasion.oracle import concave_envelope_oracle, proposal_first_grid
+from vetopersuasion.oracle import _grid_split, proposal_first_grid, split_search
 
 LIN = Linear()
 EX1 = BinaryTypeEnv(0.1, 0.7, 0.2)  # phi(h) = 5/12, phi(1) = 2/3
@@ -40,50 +36,6 @@ def test_uhat_values():
     assert uhat(BinaryTypeEnv(0.1, 0.45, 0.5), LIN, 1.0) == pytest.approx(-0.1)
     assert uhat(EX1, LIN, 2.0 / 3.0) == pytest.approx(0.0, abs=1e-12)
     assert uhat(EX1, LIN, 0.9) == 0.0
-
-
-class TestConcavify:
-    def test_affine_input(self):
-        pts = [(x, 2.0 * x - 1.0) for x in np.linspace(0.0, 1.0, 11)]
-        env, val, supports = concavify(pts, 0.35)
-        assert val == pytest.approx(-0.3, abs=1e-12)
-        assert all(env.value(x) == pytest.approx(y, abs=1e-12) for x, y in pts)
-
-    def test_tent(self):
-        for scale in (1.0, 1e-9, 1e9):  # the hull does not depend on the value scale
-            env, val, supports = concavify([(0.0, 0.0), (0.5, scale), (1.0, 0.0)], 0.25)
-            assert val == pytest.approx(0.5 * scale)
-            assert {mu for mu, _ in supports} == {0.0, 0.5}
-
-    def test_tiny_scale_grid_hull(self):
-        # The hull tolerance follows the value range (5e-4 here), so the
-        # grid's non-hull points leave the hull and the split is found.
-        grid = [(m, uhat(TINY, LIN, m)) for m in np.linspace(0.0, 1.0, 4001)]
-        _, val, supports = concavify(grid + [(TINY.mu0, uhat(TINY, LIN, TINY.mu0))], TINY.mu0)
-        assert len(supports) == 2
-        assert val >= solve_proposal_first_binary(TINY, LIN)[1]
-        assert val == pytest.approx(-0.999682, abs=1e-6)
-
-    def test_degenerate(self):
-        with pytest.raises(DegenerateGridError):
-            concavify([(0.5, 1.0)], 0.5)
-
-    def test_envelope_invariants(self):
-        mus = np.linspace(0.0, 1.0, 501)
-        pts = [(m, uhat(EX1, LIN, m)) for m in mus]
-        env, _, _ = concavify(pts, 0.2)
-        xs = [b[0] for b in env.breakpoints]
-        ys = [b[1] for b in env.breakpoints]
-        slopes = np.diff(ys) / np.diff(xs)
-        assert np.all(np.diff(slopes) <= 1e-9)  # concave
-        assert all(env.value(m) >= v - 1e-12 for m, v in pts)  # majorizes
-
-    def test_weights_average_to_mu0(self):
-        mus = np.linspace(0.0, 1.0, 401)
-        pts = [(m, uhat(EX1, LIN, m)) for m in mus]
-        _, _, supports = concavify(pts, 0.2)
-        assert sum(w for _, w in supports) == pytest.approx(1.0)
-        assert sum(mu * w for mu, w in supports) == pytest.approx(0.2)
 
 
 class TestPersuasionFirstBinary:
@@ -115,10 +67,7 @@ class TestPersuasionFirstBinary:
         env = BinaryTypeEnv(0.1, 0.7, mu_b)
         r = solve_persuasion_first_binary(env, LIN)
         assert r.regime == "NoInfo"
-        grid = [(m, uhat(env, LIN, m)) for m in np.linspace(0.0, 1.0, 4001)] + [
-            (mu_b, uhat(env, LIN, mu_b))
-        ]
-        _, split_val, _ = concavify(grid, mu_b)
+        split_val, _ = split_search(env, LIN, 2001)
         assert abs(r.value - split_val) <= 1e-9
 
     def test_tiny_scale_beats_proposal_first(self):
@@ -162,9 +111,8 @@ class TestPersuasionFirstBinary:
     )
     def test_matches_envelope_oracle(self, env, prefs):
         r = solve_persuasion_first_binary(env, prefs)
-        mus = {*np.linspace(0.0, 1.0, 101).tolist(), env.mu0, *(mu for mu, _, _ in r.posteriors)}
-        oracle_env = concave_envelope_oracle([(m, uhat(env, prefs, m)) for m in mus])
-        assert oracle_env.value(env.mu0) == pytest.approx(r.value, abs=1e-12)
+        mus = np.union1d(np.linspace(0.0, 1.0, 101), [env.mu0, *(mu for mu, _, _ in r.posteriors)])
+        assert _grid_split(env, prefs, mus)[0] == pytest.approx(r.value, abs=1e-12)
 
     def test_mixture_consistency(self):
         r = solve_persuasion_first_binary(EX1, LIN)
@@ -185,6 +133,16 @@ class TestUtilde:
         # Below psi(mu0) no persuasion is needed and the payoff is exact.
         assert utilde(self.ENV, LIN, 0.4) == pytest.approx(-0.6)
 
+    def test_surely_accepted_at_psi_mu0_at_a_large_scale(self):
+        # phi(psi(mu0)) rounds above mu0 here; branching on it sent p =
+        # psi(mu0) down the odds branch, which cancelled to -9.62e111.
+        prefs = Exponential(300.0)
+        p = psi_cap(EX1, EX1.mu0)
+        assert phi_threshold(EX1, p) > EX1.mu0
+        assert EX1.psi_mu0 == p
+        assert utilde(EX1, prefs, p) == -prefs.loss(1.0 - p)
+        assert utilde(EX1, prefs, p) == pytest.approx(-1.17e93, rel=1e-2)
+
     def test_shape(self):
         psi0 = psi_cap(self.ENV, 0.3)
         up = np.linspace(2.0 * self.ENV.ell, psi0 - 1e-9, 200)
@@ -193,30 +151,6 @@ class TestUtilde:
         down = np.linspace(max(psi0, self.ENV.h) + 1e-9, self.ENV.p_bar, 200)
         vals = [utilde(self.ENV, LIN, p) for p in down]
         assert all(b < a for a, b in zip(vals, vals[1:]))  # decreasing
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    st.lists(st.tuples(st.floats(-10.0, 10.0), st.floats(-1e6, 1e6)), min_size=1, max_size=12),
-    st.lists(st.floats(0.0, 1.0), max_size=8),
-)
-def test_envelope_value_matches_np_interp(points, fracs):
-    points.append((points[0][0] + 1.0, points[0][1]))  # at least two distinct mu
-    env, _, _ = concavify(points, points[0][0])
-    xs = [x for x, _ in env.breakpoints]
-    ys = [y for _, y in env.breakpoints]
-    mus = xs + [min(xs[0] + f * (xs[-1] - xs[0]), xs[-1]) for f in fracs]
-    for mu in mus:
-        assert env.value(mu) == float(np.interp(mu, xs, ys))
-    # Each breakpoint, both ends included, reads its own value.
-    assert [env.value(x) for x in xs] == ys
-
-
-def test_envelope_value_outside_the_domain():
-    env = Envelope(((0.0, 1.0), (0.5, 2.0), (1.0, 0.0)))
-    assert env.value(1.0) == 0.0 and env.value(0.75) == 1.0
-    with pytest.raises(DomainError):
-        env.value(1.0 + 1e-12)
 
 
 class TestProposalFirstBinary:
@@ -250,6 +184,16 @@ class TestProposalFirstBinary:
         # (psi(mu0), h), which beats both candidates by 2.6e-3.
         with pytest.raises(AssumptionViolatedError):
             solve_proposal_first_binary(BinaryTypeEnv(0.02, 0.8, 0.25), Power(6.0))
+
+    def test_tripwire_refuses_power_two_with_h_near_one(self):
+        # Power(2) with h near 1 bends the payoff to an interior peak too:
+        # the independent grid beats both candidates, so the refusal is real.
+        env, prefs = BinaryTypeEnv(0.07756362406469518, 1.1035318709189528,
+                                   0.2444637757937972), Power(2.0)
+        with pytest.raises(AssumptionViolatedError):
+            solve_proposal_first_binary(env, prefs)
+        candidates = max(utilde(env, prefs, min(env.h, env.p_bar)), utilde(env, prefs, env.psi_mu0))
+        assert proposal_first_grid(env, prefs, 4001)[1] > candidates + 1e-6 * max(1.0, prefs.loss(1.0))
 
     def test_surely_accepted_candidate_at_a_large_scale(self):
         # phi(psi(mu0)) rounds above mu0 here; the candidate psi(mu0) is
@@ -310,8 +254,11 @@ def test_persuasion_first_binary_property(prefs, h, ell_share, mu0):
     r = solve_persuasion_first_binary(env, prefs)
     assert sum(w for _, w, _ in r.posteriors) == pytest.approx(1.0, abs=1e-12)
     assert sum(mu * w for mu, w, _ in r.posteriors) == pytest.approx(mu0, abs=1e-12)
-    grid = [(m, uhat(env, prefs, m)) for m in sorted({*np.linspace(0.0, 1.0, 1001).tolist(), mu0})]
-    assert r.value >= concavify(grid, mu0)[1] - 1e-12
+    # No pair of grid beliefs splits mu0 better; the polished split, which
+    # resolves t about as finely as the solver, agrees as vps oracle checks.
+    assert r.value >= _grid_split(env, prefs, np.union1d(np.linspace(0.0, 1.0, 1001), [mu0]))[0] - 1e-12
+    best, _ = split_search(env, prefs, 1001)
+    assert abs(best - r.value) <= 1e-6 * max(1.0, prefs.loss(1.0))
     try:
         proposal_first = solve_proposal_first_binary(env, prefs)[1]
     except AssumptionViolatedError:  # the tripwire's refusal

@@ -13,7 +13,6 @@ from vetopersuasion import (
     ProposerPreferences,
     UniformInterval,
     accept,
-    concavify,
     dist_from_literal,
     lsolve,
     no_info_optimal,
@@ -28,12 +27,13 @@ from vetopersuasion import (
 )
 from vetopersuasion.oracle import (
     _indirect,
+    _largest_accepted,
     _partition_value,
     _proposal_payoff,
     binary_signal_search_atoms,
-    concave_envelope_oracle,
     partition_search,
     proposal_first_grid,
+    split_search,
     verify_certificate,
     verify_no_info_certificate,
 )
@@ -122,27 +122,35 @@ class TestCertificates:
             assert verify_no_info_certificate(d, SQ)[0] == no_info_optimal(d, SQ)
 
 
-class TestEnvelopeOracle:
-    @pytest.mark.parametrize(
-        "pts",
-        [
-            [(0.0, 0.0), (0.5, 1.0), (1.0, 0.0)],
-            [(x, 2.0 * x - 1.0) for x in np.linspace(0.0, 1.0, 9)],
-        ],
-    )
-    def test_matches_concavify_simple(self, pts):
-        env_fast, _, _ = concavify(pts, pts[0][0])
-        env_slow = concave_envelope_oracle(pts)
-        for x, y in env_slow.breakpoints:
-            assert env_fast.value(x) == pytest.approx(y, abs=1e-10)
+class TestSplitSearch:
+    def test_interior_tangency(self):
+        # Power(2), ell = 1/4, mu0 = 0.15: the best split is {0, 3/10}.
+        v, (a, b) = split_search(BinaryTypeEnv(0.25, 0.9, 0.15), SQ)
+        assert v == pytest.approx(-0.1328125, abs=1e-12)
+        assert a == 0.0 and b == pytest.approx(0.3, abs=1e-8)
 
-    def test_matches_concavify_on_indirect_utility(self):
-        env = BinaryTypeEnv(0.1, 0.7, 0.2)
-        pts = [(m, uhat(env, LIN, m)) for m in np.linspace(0.0, 1.0, 201)]
-        env_fast, _, _ = concavify(pts, 0.2)
-        env_slow = concave_envelope_oracle(pts)
-        for x, y in env_slow.breakpoints:
-            assert env_fast.value(x) == pytest.approx(y, abs=1e-10)
+    def test_no_information_at_the_ends(self):
+        # At mu0 = 0 or 1 every split puts all its weight on mu0.
+        for mu0 in (0.0, 1.0):
+            env = BinaryTypeEnv(0.1, 0.7, mu0)
+            v, (a, b) = split_search(env, LIN, 101)
+            assert mu0 in (a, b) and v == uhat(env, LIN, mu0)
+
+    def test_grid_cap(self):
+        with pytest.raises(DomainError):
+            split_search(BinaryTypeEnv(0.1, 0.7, 0.2), LIN, grid_n=2002)
+
+    def test_shares_no_acceptance_logic_with_the_solver(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the oracle called solver logic")
+
+        names = ["uhat", "utilde", "psi_cap", "phi_threshold", "best_acceptable_proposal"]
+        for module in (accept, lsolve, oracle):
+            for name in names:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, boom)
+        for mu0 in (0.0, 0.2, 5.0 / 12.0, 1.0):
+            split_search(BinaryTypeEnv(0.1, 0.7, mu0), Exponential(2.0), grid_n=401)
 
 
 class TestBinarySignalSearch:
@@ -252,6 +260,18 @@ def test_proposal_payoff_matches_utilde(env, prefs):
         ref = utilde(env, prefs, p)
         assert abs(v - ref) <= tol
         assert abs(_proposal_payoff(p, env, prefs) - ref) <= tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(BINARY_ENVS, ALL_LOSSES)
+def test_largest_accepted_matches_psi(env, prefs):
+    # The split oracle's acceptance, from the Vetoer's absolute loss, gives
+    # the solver's payoff at each belief.
+    tol = 1e-12 * max(1.0, prefs.loss(1.0))
+    mus = np.linspace(0.0, 1.0, 301)
+    ps = _largest_accepted(np.stack([1.0 - mus, mus], axis=1), np.array([env.ell, env.h]))
+    for mu, p in zip(mus.tolist(), ps.tolist()):
+        assert abs(-prefs.loss(1.0 - p) - uhat(env, prefs, mu)) <= tol
 
 
 @settings(max_examples=300, deadline=None)
