@@ -5,10 +5,11 @@ solvers: payoffs are recomputed from the loss primitives, the binary
 persuasion-first value is the best split of the prior over every pair of
 grid beliefs instead of a tangency, and optima are located by exhaustive
 grids with a golden-section polish.  The grids are vectorised over the loss
-primitives (``ProposerPreferences.loss_array``), which shares no model
-logic with the solvers, and the binary checks derive acceptance from the
-Vetoer's absolute loss rather than from ``accept``.  The one solver piece
-still shared is ``three_type_best_proposal``, in the three-type polish.
+primitives (``ProposerPreferences.loss_array``), and the linear-loss checks
+derive acceptance from the Vetoer's absolute loss rather than from
+``accept``: the grids through ``_largest_accepted``, the three-type polish
+through its closed form ``_three_type_root``.  So the oracles share no model
+logic with the solvers; from ``accept`` they take only ``BinaryTypeEnv``.
 Agreement with the fast paths is the evidence the fast paths are right.
 """
 
@@ -19,7 +20,7 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 
 from ._numeric import golden_max, grid_max
-from .accept import BinaryTypeEnv, three_type_best_proposal
+from .accept import BinaryTypeEnv
 from .dist import TypeDistribution
 from .errors import DomainError
 from .prefs import ProposerPreferences
@@ -177,23 +178,51 @@ def _largest_accepted(wq: np.ndarray, th: np.ndarray) -> np.ndarray:
     (unnormalized) belief weights on the bliss points th >= 0, accepts under
     the Vetoer's absolute loss.  The acceptance gap A(p) = sum_i q_i
     (|theta_i| - |p - theta_i|) is concave and piecewise linear with kinks at
-    the atoms, and A(0) = 0: its largest root is found right to left."""
+    the atoms, and A(0) = 0: its largest root is the rightmost sign change.
+    The pieces are taken left to right, each interpolating only on the rows
+    whose sign change it holds, so a piece further right overwrites.  The
+    first piece's root is 0 = A(0) itself, so it and A(0) are left out."""
     p_bar = min(2.0 * float(th.max()), 1.0)
-    breaks = np.array(sorted({0.0, *(t for t in th if 0.0 < t < p_bar), p_bar}))
-    A = np.zeros((wq.shape[0], len(breaks)))
-    for m, b in enumerate(breaks):
-        A[:, m] = wq @ (np.abs(th) - np.abs(b - th))
+    breaks = sorted({0.0, *(t for t in th.tolist() if 0.0 < t < p_bar), p_bar})
+    A = [None, *(wq @ (np.abs(th) - np.abs(b - th)) for b in breaks[1:])]
     p = np.zeros(wq.shape[0])
-    done = A[:, -1] >= 0.0
-    p[done] = breaks[-1]
-    for m in range(len(breaks) - 1, 0, -1):
-        lo_v, hi_v = A[:, m - 1], A[:, m]
-        hit = (~done) & (lo_v >= 0.0) & (hi_v < 0.0)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            root = breaks[m - 1] + lo_v * (breaks[m] - breaks[m - 1]) / (lo_v - hi_v)
-        p[hit] = root[hit]
-        done |= hit
+    for m in range(2, len(breaks)):
+        lo_v, hi_v = A[m - 1], A[m]
+        hit = np.flatnonzero((lo_v >= 0.0) & (hi_v < 0.0))
+        lo_h = lo_v[hit]
+        p[hit] = breaks[m - 1] + lo_h * (breaks[m] - breaks[m - 1]) / (lo_h - hi_v[hit])
+    if p_bar > 0.0:
+        p[A[-1] >= 0.0] = p_bar
     return p
+
+
+def _three_type_root(a: float, b: float, c: float, ell: float, h: float) -> float:
+    """_largest_accepted for one belief, in closed form on Python floats:
+    weights a, b, c >= 0 (any scale) on the bliss points 0 <= ell < h.
+
+    The acceptance gap A(p) = -a p + b (ell - |p - ell|) + c (h - |p - h|)
+    has three linear pieces, read right to left from p_bar = min(2h, 1):
+
+        L3(p) = 2 (b ell + c h) - (a + b + c) p   on [h, p_bar],
+        L2(p) = 2 b ell - (a + b - c) p           on [ell, h],
+        L1(p) = (b + c - a) p                     on [0, ell].
+
+    A is concave, so each line majorizes it on all of p >= 0, and there
+    A = min(L1, L2, L3).  Each L_i(0) >= 0, so {L_i >= 0} = [0, r_i], where
+    r_i is the root of a falling line and +inf otherwise.  The largest
+    accepted proposal is therefore min(p_bar, r1, r2, r3): r1 = 0 if a > b + c,
+    r2 = 2 b ell / (a + b - c) if a + b > c, r3 = 2 (b ell + c h) / (a + b + c).
+    For h > 1/2, p_bar = 1 < 2h cuts the top piece short (or, for h > 1, off);
+    the identity holds all the same."""
+    if a > b + c:
+        return 0.0
+    r = min(2.0 * h, 1.0)
+    s = a + b + c
+    if s > 0.0:
+        r = min(r, 2.0 * (b * ell + c * h) / s)
+    if a + b > c:
+        r = min(r, 2.0 * b * ell / (a + b - c))
+    return r
 
 
 def _split_value_atoms(
@@ -202,14 +231,13 @@ def _split_value_atoms(
     prefs: ProposerPreferences,
     sigma: Sequence[float],
 ) -> float:
+    (w0, w1, w2), (_, ell, h) = weights, levels
     total = 0.0
-    for probs in (tuple(sigma), tuple(1.0 - s for s in sigma)):
-        mass = sum(w * s for w, s in zip(weights, probs))
-        if mass <= 1e-15:
-            continue
-        post = tuple(w * s / mass for w, s in zip(weights, probs))
-        p = three_type_best_proposal((post[0], post[1]), tuple(levels))
-        total += mass * (-prefs.loss(1.0 - p))
+    for s0, s1, s2 in (sigma, [1.0 - s for s in sigma]):
+        a, b, c = w0 * s0, w1 * s1, w2 * s2  # unnormalized posterior weights
+        mass = a + b + c
+        if mass > 1e-15:
+            total += mass * -prefs.loss(1.0 - _three_type_root(a, b, c, ell, h))
     return total
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from typing import Optional, Tuple
 
 from ._numeric import bisect_rising, brentq, grid_max, linspace
-from .dist import FiniteAtoms, TypeDistribution, UniformInterval
+from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
 from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
 
@@ -142,9 +142,10 @@ def solve_persuasion_first(
 ) -> SolveOutcome:
     """Optimal experiment-then-proposal outcome."""
     _require_continuous(d)
-    theta_lo, theta_hi = d.support
     c1 = prefs.loss(1.0)
-    if theta_hi <= 0.0:
+    # At most the mass that conditioning treats as empty lies at or above 0
+    # (theta_hi <= 0, or a subnormal theta_hi): both timings keep the status quo.
+    if 1.0 - d.cdf(0.0) <= _MASS_EPS:
         return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -c1, 1.0)
     mean = d.mean()
     if mean >= 0.5:
@@ -206,9 +207,9 @@ def solve_proposal_first(
     acceptance-probability-maximizing cutoff.
     """
     _require_continuous(d)
-    theta_lo, theta_hi = d.support
+    _, theta_hi = d.support
     c1 = prefs.loss(1.0)
-    if theta_hi <= 0.0:
+    if 1.0 - d.cdf(0.0) <= _MASS_EPS:  # as in solve_persuasion_first
         return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -c1, 1.0)
     mean = d.mean()
 

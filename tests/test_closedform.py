@@ -4,7 +4,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from vetopersuasion import (
     DomainError,
-    FullMassBelowError,
     Linear,
     Regime,
     UniformInterval,
@@ -107,18 +106,16 @@ def test_linear_case_uniform():
 @given(st.floats(-2.0, 0.0, exclude_max=True), st.floats(0.0, 2.0, exclude_min=True))
 @example(-1.0, 1.0)  # hi = 1: the cutoff is 0 on both sides
 @example(-3.0 / 4.0, 7.0 / 4.0)  # cut = theta_lo: the ideal is accepted
-@example(-2.0, 5e-324)  # no float mass above 0: the solver refuses
+@example(-2.0, 5e-324)  # no float mass above 0: the solver keeps the status quo
 @example(-2.2250738585072014e-308, 0.6821104147023181)  # 2 (mean - lo) rounds to 2 mean
 @example(-1.1125369292536007e-308, 1.0)  # the mean rounds to 1/2
 def test_linear_case_uniform_matches_the_solver(lo, hi):
     cut, accept = linear_case_uniform(lo, hi)
-    try:
-        r = solve_persuasion_first(UniformInterval(lo, hi), Linear())
-    except FullMassBelowError:
-        # The solver will not condition on theta >= 0 with at most 1e-12 of
-        # mass above it (the FOUND entry in CHANGES.md): the closed form's
-        # acceptance probability is that mass.
-        assert cut == 0.0 and accept <= 1e-12
+    r = solve_persuasion_first(UniformInterval(lo, hi), Linear())
+    if r.regime is Regime.STATUS_QUO_ONLY:
+        # At most 1e-12 of mass lies at or above 0, so the solver keeps the
+        # status quo: the closed form's acceptance probability is that mass.
+        assert cut == 0.0 and accept <= 1e-12 and r.veto_prob == 1.0
         return
     if cut == lo:
         assert r.regime is Regime.IDEAL_ACCEPTED

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vetopersuasion import (
     BinaryTypeEnv,
@@ -30,6 +31,7 @@ from vetopersuasion.oracle import (
     _largest_accepted,
     _partition_value,
     _proposal_payoff,
+    _three_type_root,
     binary_signal_search_atoms,
     partition_search,
     proposal_first_grid,
@@ -169,6 +171,21 @@ class TestBinarySignalSearch:
         assert sigma[0] == pytest.approx(0.0, abs=1e-6)
         assert sigma[2] == pytest.approx(1.0, abs=1e-6)
 
+    def test_shares_no_acceptance_logic_with_the_solver(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("the oracle called solver logic")
+
+        for name in ["best_acceptable_proposal", "three_type_best_proposal"]:
+            monkeypatch.setattr(accept, name, boom)
+        v, _ = binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, grid_n=41)
+        assert v == pytest.approx(-13.0 / 15.0, abs=1e-4)
+
+
+def test_oracle_takes_only_the_binary_environment_from_accept():
+    shared = {name for name, obj in vars(oracle).items()
+              if getattr(obj, "__module__", None) == accept.__name__}
+    assert shared == {"BinaryTypeEnv"}
+
 
 class TestProposalFirstGrid:
     @pytest.mark.parametrize(
@@ -276,9 +293,13 @@ def test_largest_accepted_matches_psi(env, prefs):
 
 @settings(max_examples=300, deadline=None)
 @given(BINARY_ENVS, ALL_LOSSES)
+@example(BinaryTypeEnv(0.25, 0.5, 0.2), LIN)  # psi(mu0) = 0.6 rounds up onto a grid point
 def test_proposal_payoff_is_exact_where_surely_accepted(env, prefs):
     ps = _proposal_grid(env)
-    ps = ps[ps <= psi_cap(env, env.mu0)]
+    # psi_cap can round up onto a grid point past the true psi(mu0), which is
+    # then not surely accepted, so points within 4 ulps of it are left out.
+    psi = psi_cap(env, env.mu0)
+    ps = ps[ps <= psi - 4.0 * math.ulp(psi)]
     # Leave out points whose phi(p) rounds to within 4 ulps of mu0, as it
     # does at p = psi(mu0) (the rounding listed for utilde in CHANGES.md).
     sure = ps[[abs(phi_threshold(env, p) - env.mu0) > 4.0 * math.ulp(env.mu0)
@@ -286,3 +307,68 @@ def test_proposal_payoff_is_exact_where_surely_accepted(env, prefs):
     assert np.array_equal(_proposal_payoff(sure, env, prefs), -prefs.loss_array(1.0 - sure))
     for p in sure.tolist():
         assert _proposal_payoff(p, env, prefs) == -prefs.loss(1.0 - p)
+
+
+# Levels (0, ell, h): ell = 0 or inside [0, h); h below 1/2 (p_bar = 2h), in
+# [1/2, 1] (p_bar = 1 <= 2h) and above 1 (p_bar = 1 < h).
+THREE_LEVELS = st.builds(
+    lambda h, frac: (0.0, frac * h, h),
+    st.one_of(st.floats(1e-6, 0.5, exclude_max=True), st.floats(0.5, 1.0),
+              st.floats(1.0, 3.0, exclude_min=True)),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+)
+WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+def _exact_gap(a, b, c, ell, h, p):
+    a, b, c, ell, h, p = map(Fraction, (a, b, c, ell, h, p))
+    return -a * p + b * (ell - abs(p - ell)) + c * (h - abs(p - h))
+
+
+def _assert_same_root(r, ref, a, b, c, ell, h):
+    """r and ref agree within 1e-12 as roots of the acceptance gap, plus
+    1e-15 s / slope: rounding the weights' sums (scale s) moves a root by
+    about that much when a piece of the gap has a small slope.  Where a
+    piece is flat to within 1e-9 s, its root may sit at either end of it:
+    there each answer must instead be accepted, and be a root unless it is
+    p_bar, to within 1e-12 s on the exact gap of the float inputs."""
+    s = a + b + c
+    slope = min(abs(b + c - a), abs(a + b - c))
+    if slope > 1e-9 * s:
+        assert abs(r - ref) <= 1e-12 + 1e-15 * s / slope
+        return
+    for x in (r, ref):
+        gap = _exact_gap(a, b, c, ell, h, x)
+        assert gap >= -1e-12 * s
+        assert x == min(2.0 * h, 1.0) or gap <= 1e-12 * s
+
+
+@settings(max_examples=500, deadline=None)
+@given(WEIGHT, WEIGHT, WEIGHT, THREE_LEVELS)
+def test_three_type_root_matches_best_acceptable_proposal(a, b, c, levels):
+    # Posterior weights: the draws over their sum (zeros stay zero).
+    s = a + b + c
+    if s > 0.0:
+        a, b, c = a / s, b / s, c / s
+    _, ell, h = levels
+    r = _three_type_root(a, b, c, ell, h)
+    assert 0.0 <= r <= min(2.0 * h, 1.0)
+    _assert_same_root(r, accept.best_acceptable_proposal(levels, (a, b, c)), a, b, c, ell, h)
+
+
+@settings(max_examples=100, deadline=None)
+@given(WEIGHT, WEIGHT, WEIGHT, THREE_LEVELS)
+def test_largest_accepted_is_the_three_type_root_row_by_row(w0, w1, w2, levels):
+    # The grid's rows (signal probabilities times a prior) against the
+    # polish's closed form, on the same unnormalized weights; rows of mass
+    # at most 1e-15 are skipped, as the oracle skips them.
+    w = np.array([w0, w1, w2])
+    if w.sum() > 0.0:
+        w /= w.sum()
+    g = np.linspace(0.0, 1.0, 11)
+    sig = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+    wq = sig * w
+    _, ell, h = levels
+    for (a, b, c), p in zip(wq.tolist(), _largest_accepted(wq, np.array(levels)).tolist()):
+        if a + b + c > 1e-15:
+            _assert_same_root(_three_type_root(a, b, c, ell, h), p, a, b, c, ell, h)
