@@ -111,10 +111,10 @@ def best_acceptable_proposal(
     if p_bar <= 0.0:
         return 0.0
 
-    v0 = -sum(w * t for t, w in zip(thetas, weights))
-
     def gap(p: float) -> float:
-        return -sum(w * abs(t - p) for t, w in zip(thetas, weights)) - v0
+        # Type t >= 0 gains t - |p - t| = min(p, 2t - p), which does not
+        # cancel against a huge t (written as a branch: no call per atom).
+        return sum(w * (p if p <= t else 2.0 * t - p) for t, w in zip(thetas, weights))
 
     breaks = sorted({0.0, p_bar, *(t for t in thetas if 0.0 < t < p_bar)})
     values = [gap(b) for b in breaks]

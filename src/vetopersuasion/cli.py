@@ -57,14 +57,14 @@ def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
     _write(text, out)
 
 
-def _binary_env(d: TypeDistribution) -> BinaryTypeEnv:
+def _binary_env(d: TypeDistribution | FiniteAtoms) -> BinaryTypeEnv:
     if not isinstance(d, FiniteAtoms) or len(d.points) != 2:
         raise VetoPersuasionError("linear2 takes exactly two atoms: atoms:l:p,h:q")
     (ell, _), (h, mu0) = d.points
     return BinaryTypeEnv(ell=ell, h=h, mu0=mu0)
 
 
-def _three_prior(d: TypeDistribution) -> Tuple[Tuple[float, float], Tuple[float, float, float]]:
+def _three_prior(d: TypeDistribution | FiniteAtoms) -> Tuple[Tuple[float, float], Tuple[float, float, float]]:
     if not isinstance(d, FiniteAtoms) or len(d.points) != 3:
         raise VetoPersuasionError("linear3 takes exactly three atoms")
     (t0, w0), (t1, w1), (t2, _) = d.points

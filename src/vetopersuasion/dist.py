@@ -1,8 +1,10 @@
 """Distributions of the Vetoer bliss point.
 
-Three variants are supported: a uniform interval, a finite list of atoms,
-and an exponential likelihood-ratio tilt of a uniform interval.  All values
-are immutable after construction and safe to share across workers.
+Two continuous families are supported: a uniform interval and an
+exponential likelihood-ratio tilt of one.  A finite list of atoms is a
+validated literal for the linear-loss models, not a distribution that is
+queried.  All values are immutable after construction and safe to share
+across workers.
 
 Every query is exact algebra: tilted densities have closed-form integrals.
 """
@@ -40,18 +42,10 @@ class TypeDistribution(ABC):
     def upper_partial_mean(self, s: float) -> float:
         """Integral of theta over the event {theta >= s}."""
 
+    @abstractmethod
     def cond_mean_above(self, s: float) -> float:
-        """E[theta | theta >= s] (weak inequality: an atom at s is included)."""
-        mass = 1.0 - self.cdf_below(s)
-        if mass <= _MASS_EPS:
-            raise FullMassBelowError(
-                f"no mass at or above s={s!r}; cannot condition on theta >= s"
-            )
-        return self.upper_partial_mean(s) / mass
-
-    def cdf_below(self, x: float) -> float:
-        """P(theta < x); differs from cdf only at atoms."""
-        return self.cdf(x)
+        """E[theta | theta >= s]; raises FullMassBelowError when at most
+        _MASS_EPS of mass lies at or above s."""
 
 
 @dataclass(frozen=True)
@@ -95,8 +89,10 @@ class UniformInterval(TypeDistribution):
 
 
 @dataclass(frozen=True)
-class FiniteAtoms(TypeDistribution):
-    """Atoms as ((theta_1, p_1), ...), strictly increasing in theta."""
+class FiniteAtoms:
+    """Atoms as ((theta_1, p_1), ...), strictly increasing in theta: a
+    validated literal that the linear-loss solvers read through ``points``.
+    Not a TypeDistribution; the quadratic-loss solvers reject it."""
 
     points: Tuple[Tuple[float, float], ...]
 
@@ -115,22 +111,6 @@ class FiniteAtoms(TypeDistribution):
             raise DomainError("atom probabilities must be strictly positive")
         if abs(sum(probs) - 1.0) > 1e-12:
             raise DomainError(f"atom probabilities sum to {sum(probs)}, not 1")
-
-    @property
-    def support(self) -> Tuple[float, float]:
-        return (self.points[0][0], self.points[-1][0])
-
-    def cdf(self, x: float) -> float:
-        return sum(p for t, p in self.points if t <= x)
-
-    def cdf_below(self, x: float) -> float:
-        return sum(p for t, p in self.points if t < x)
-
-    def mean(self) -> float:
-        return sum(t * p for t, p in self.points)
-
-    def upper_partial_mean(self, s: float) -> float:
-        return sum(t * p for t, p in self.points if t >= s)
 
 
 # Taylor coefficients B_2k / (2k)! of _tilt_mean_share - 1/2, highest power
@@ -205,7 +185,7 @@ class ExponentialTilt(TypeDistribution):
         return self._mean_from(a)
 
 
-def lr_tilt(d: TypeDistribution, lam: float) -> TypeDistribution:
+def lr_tilt(d: TypeDistribution | FiniteAtoms, lam: float) -> TypeDistribution | FiniteAtoms:
     """Reweight d by exp(lam * theta).
 
     Larger lam produces a likelihood-ratio rightward shift.  Atom
@@ -223,7 +203,7 @@ def lr_tilt(d: TypeDistribution, lam: float) -> TypeDistribution:
     return ExponentialTilt(d, lam)
 
 
-def from_literal(text: str) -> TypeDistribution:
+def from_literal(text: str) -> TypeDistribution | FiniteAtoms:
     """Parse a CLI/config distribution literal.
 
     Accepted forms::

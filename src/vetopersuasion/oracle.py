@@ -7,8 +7,8 @@ grid beliefs instead of a tangency, and optima are located by exhaustive
 grids with a golden-section polish.  The grids are vectorised over the loss
 primitives (``ProposerPreferences.loss_array``), and the linear-loss checks
 derive acceptance from the Vetoer's absolute loss rather than from
-``accept``: the grids through ``_largest_accepted``, the three-type polish
-through its closed form ``_three_type_root``.  So the oracles share no model
+``accept``: one closed form, ``_three_type_root``, serves the two-type split
+grid and the three-type grid and polish.  So the oracles share no model
 logic with the solvers; from ``accept`` they take only ``BinaryTypeEnv``.
 Agreement with the fast paths is the evidence the fast paths are right.
 """
@@ -173,35 +173,15 @@ def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price, grid_n: 
     return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
 
-def _largest_accepted(wq: np.ndarray, th: np.ndarray) -> np.ndarray:
-    """Largest proposal in [0, min(2 max theta, 1)] that each row of wq,
-    (unnormalized) belief weights on the bliss points th >= 0, accepts under
-    the Vetoer's absolute loss.  The acceptance gap A(p) = sum_i q_i
-    (|theta_i| - |p - theta_i|) is concave and piecewise linear with kinks at
-    the atoms, and A(0) = 0: its largest root is the rightmost sign change.
-    The pieces are taken left to right, each interpolating only on the rows
-    whose sign change it holds, so a piece further right overwrites.  The
-    first piece's root is 0 = A(0) itself, so it and A(0) are left out."""
-    p_bar = min(2.0 * float(th.max()), 1.0)
-    breaks = sorted({0.0, *(t for t in th.tolist() if 0.0 < t < p_bar), p_bar})
-    A = [None, *(wq @ (np.abs(th) - np.abs(b - th)) for b in breaks[1:])]
-    p = np.zeros(wq.shape[0])
-    for m in range(2, len(breaks)):
-        lo_v, hi_v = A[m - 1], A[m]
-        hit = np.flatnonzero((lo_v >= 0.0) & (hi_v < 0.0))
-        lo_h = lo_v[hit]
-        p[hit] = breaks[m - 1] + lo_h * (breaks[m] - breaks[m - 1]) / (lo_h - hi_v[hit])
-    if p_bar > 0.0:
-        p[A[-1] >= 0.0] = p_bar
-    return p
+def _three_type_root(a, b, c, ell: float, h: float):
+    """Largest proposal in [0, p_bar] that a belief with weights a, b, c >= 0
+    (any scale) on the bliss points 0 <= ell < h accepts under the Vetoer's
+    absolute loss; elementwise over arrays, and on Python floats without
+    numpy, bit for bit the same.
 
-
-def _three_type_root(a: float, b: float, c: float, ell: float, h: float) -> float:
-    """_largest_accepted for one belief, in closed form on Python floats:
-    weights a, b, c >= 0 (any scale) on the bliss points 0 <= ell < h.
-
-    The acceptance gap A(p) = -a p + b (ell - |p - ell|) + c (h - |p - h|)
-    has three linear pieces, read right to left from p_bar = min(2h, 1):
+    A type t >= 0 gains t - |p - t| from p over the status quo, so the
+    acceptance gap A(p) = -a p + b (ell - |p - ell|) + c (h - |p - h|) has
+    three linear pieces, read right to left from p_bar = min(2h, 1):
 
         L3(p) = 2 (b ell + c h) - (a + b + c) p   on [h, p_bar],
         L2(p) = 2 b ell - (a + b - c) p           on [ell, h],
@@ -213,31 +193,40 @@ def _three_type_root(a: float, b: float, c: float, ell: float, h: float) -> floa
     accepted proposal is therefore min(p_bar, r1, r2, r3): r1 = 0 if a > b + c,
     r2 = 2 b ell / (a + b - c) if a + b > c, r3 = 2 (b ell + c h) / (a + b + c).
     For h > 1/2, p_bar = 1 < 2h cuts the top piece short (or, for h > 1, off);
-    the identity holds all the same."""
-    if a > b + c:
-        return 0.0
-    r = min(2.0 * h, 1.0)
-    s = a + b + c
-    if s > 0.0:
-        r = min(r, 2.0 * (b * ell + c * h) / s)
-    if a + b > c:
-        r = min(r, 2.0 * b * ell / (a + b - c))
-    return r
+    the identity holds all the same.  No term subtracts a bliss point from
+    another, so a huge h does not cancel."""
+    p_bar = min(2.0 * h, 1.0)
+    s, d = a + b + c, a + b - c
+    if type(s) is float:
+        if a > b + c:
+            return 0.0
+        r3 = 2.0 * (b * ell + c * h) / s if s > 0.0 else p_bar
+        return min(p_bar, r3, 2.0 * b * ell / d if d > 0.0 else p_bar)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # unused or > p_bar
+        r3 = np.where(s > 0.0, 2.0 * (b * ell + c * h) / s, p_bar)
+        r2 = np.where(d > 0.0, 2.0 * b * ell / d, p_bar)
+    return np.where(a > b + c, 0.0, np.minimum(np.minimum(p_bar, r3), r2))
 
 
 def _split_value_atoms(
     weights: Sequence[float],
     levels: Sequence[float],
     prefs: ProposerPreferences,
-    sigma: Sequence[float],
-) -> float:
+    s0, s1, s2,
+):
+    """Payoff of the binary signal that type i sends high with probability
+    s_i, for prior weights on the bliss points levels = (0, ell, h);
+    elementwise over arrays, or one signal on Python floats."""
     (w0, w1, w2), (_, ell, h) = weights, levels
     total = 0.0
-    for s0, s1, s2 in (sigma, [1.0 - s for s in sigma]):
-        a, b, c = w0 * s0, w1 * s1, w2 * s2  # unnormalized posterior weights
+    for x0, x1, x2 in ((s0, s1, s2), (1.0 - s0, 1.0 - s1, 1.0 - s2)):
+        a, b, c = w0 * x0, w1 * x1, w2 * x2  # unnormalized posterior weights
         mass = a + b + c
-        if mass > 1e-15:
-            total += mass * -prefs.loss(1.0 - _three_type_root(a, b, c, ell, h))
+        p = _three_type_root(a, b, c, ell, h)
+        if type(mass) is float:
+            total += mass * -prefs.loss(1.0 - p) if mass > 1e-15 else 0.0
+        else:
+            total += np.where(mass > 1e-15, mass * -prefs.loss_array(1.0 - p), 0.0)
     return total
 
 
@@ -255,28 +244,19 @@ def binary_signal_search_atoms(
     """
     if grid_n > 101:
         raise DomainError(f"grid_n capped at 101, got {grid_n}")
-    w = np.array([prior[0], prior[1], 1.0 - prior[0] - prior[1]])
-    if w.min() < -1e-12:
+    weights = [float(prior[0]), float(prior[1]), 1.0 - prior[0] - prior[1]]
+    if min(weights) < -1e-12:
         raise DomainError(f"bad prior {prior}")
-    th = np.array(levels)
+    levels = [float(t) for t in levels]
 
     g = np.linspace(0.0, 1.0, grid_n)
-    sig = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-
-    def signal_values(sigma: np.ndarray) -> np.ndarray:
-        # Expected payoff contributed by one signal whose send-probability
-        # per type is the columns of sigma, vectorized over rows.
-        mass = sigma @ w
-        p = _largest_accepted(sigma * w, th)  # unnormalized posterior weights
-        return np.where(mass > 1e-15, mass * -prefs.loss_array(1.0 - p), 0.0)
-
-    total = signal_values(sig) + signal_values(1.0 - sig)
+    sig = g[np.indices((grid_n,) * 3).reshape(3, -1)]  # rows: sigma_0, sigma_1, sigma_2
+    total = _split_value_atoms(weights, levels, prefs, *sig)
     k = int(np.argmax(total))
     # The polish runs on Python floats: no numpy scalar in its inner loop.
-    weights, thetas = w.tolist(), th.tolist()
     best, sigma = _coordinate_polish(
-        lambda trial: _split_value_atoms(weights, thetas, prefs, trial),
-        sig[k].tolist(), float(total[k]), 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
+        lambda trial: _split_value_atoms(weights, levels, prefs, *trial),
+        [float(s[k]) for s in sig], float(total[k]), 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
     )
     return best, (sigma[0], sigma[1], sigma[2])
 
@@ -321,7 +301,7 @@ def _grid_split(
     weight (b - mu0) / (b - a) on a and the rest on b, or no information
     when a = b = mu0.  Returns (value, [a, b])."""
     mu0 = env.mu0
-    p = _largest_accepted(np.stack([1.0 - mus, mus], axis=1), np.array([env.ell, env.h]))
+    p = _three_type_root(0.0, 1.0 - mus, mus, env.ell, env.h)
     u = -prefs.loss_array(1.0 - p)
     i = int(np.searchsorted(mus, mu0))  # mus[i] == mu0
     a, b = mus[: i + 1, None], mus[None, i:]

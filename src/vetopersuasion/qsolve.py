@@ -24,7 +24,9 @@ from typing import Optional, Tuple
 
 from ._numeric import bisect_rising, brentq, grid_max, linspace
 from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
-from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
+from .errors import (
+    AssumptionViolatedError, FullMassBelowError, NoRootError, UnsupportedCombinationError,
+)
 from .prefs import ProposerPreferences
 
 _GOLDEN_TOL = 1e-12
@@ -192,7 +194,10 @@ def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences, p: float) -
     _, theta_hi = d.support
     if p >= 2.0 * theta_hi:
         return -prefs.loss(1.0)
-    s = _acceptance_cutoff(d, 0.5 * p)
+    try:
+        s = _acceptance_cutoff(d, 0.5 * p)
+    except FullMassBelowError:  # the cutoff leaves at most _MASS_EPS of mass
+        return -prefs.loss(1.0)
     accept = 1.0 - d.cdf(s)
     return accept * prefs.utility(p) + (1.0 - accept) * (-prefs.loss(1.0))
 

@@ -90,16 +90,6 @@ class TestUniform:
 
 
 class TestAtoms:
-    def test_queries(self):
-        d = FiniteAtoms(((-1.0, 0.5), (1.0, 0.5)))
-        assert d.mean() == 0.0
-        assert d.cdf(-1.0) == 0.5
-        assert d.cdf_below(-1.0) == 0.0
-        # Weak conditioning: an atom exactly at s counts.
-        assert d.cond_mean_above(1.0) == 1.0
-        assert d.cond_mean_above(0.0) == 1.0
-        assert d.cond_mean_above(-1.0) == 0.0
-
     def test_validation(self):
         with pytest.raises(DomainError):
             FiniteAtoms(((1.0, 0.5), (0.0, 0.5)))  # not increasing

@@ -290,3 +290,10 @@ class TestThreeTypes:
     def test_dominance(self):
         r = three_type_values(self.PRIOR, self.LEVELS, LIN)
         assert r.v_fullinfo > r.v_bestbinary > r.v_noinfo
+
+    def test_a_high_type_above_one_does_not_cancel(self):
+        # A type at h >= 1 treats every proposal up to 1 alike, so h = 1 and
+        # a huge h are the same instance.
+        for prefs in (LIN, Power(2.0), Exponential(2.0)):
+            r = [three_type_values((0.5, 0.3), (0.0, 0.1, h), prefs) for h in (1.0, 1e5, 1e200)]
+            assert r[0] == r[1] == r[2]

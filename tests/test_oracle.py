@@ -28,9 +28,9 @@ from vetopersuasion import (
 )
 from vetopersuasion.oracle import (
     _indirect,
-    _largest_accepted,
     _partition_value,
     _proposal_payoff,
+    _split_value_atoms,
     _three_type_root,
     binary_signal_search_atoms,
     partition_search,
@@ -281,12 +281,12 @@ def test_proposal_payoff_matches_utilde(env, prefs):
 
 @settings(max_examples=100, deadline=None)
 @given(BINARY_ENVS, ALL_LOSSES)
-def test_largest_accepted_matches_psi(env, prefs):
-    # The split oracle's acceptance, from the Vetoer's absolute loss, gives
-    # the solver's payoff at each belief.
+def test_three_type_root_without_the_zero_type_matches_psi(env, prefs):
+    # The split oracle's acceptance, the closed form with a = 0 on the bliss
+    # points (ell, h), gives the solver's payoff at each belief.
     tol = 1e-12 * max(1.0, prefs.loss(1.0))
     mus = np.linspace(0.0, 1.0, 301)
-    ps = _largest_accepted(np.stack([1.0 - mus, mus], axis=1), np.array([env.ell, env.h]))
+    ps = _three_type_root(0.0, 1.0 - mus, mus, env.ell, env.h)
     for mu, p in zip(mus.tolist(), ps.tolist()):
         assert abs(-prefs.loss(1.0 - p) - uhat(env, prefs, mu)) <= tol
 
@@ -358,17 +358,34 @@ def test_three_type_root_matches_best_acceptable_proposal(a, b, c, levels):
 
 @settings(max_examples=100, deadline=None)
 @given(WEIGHT, WEIGHT, WEIGHT, THREE_LEVELS)
-def test_largest_accepted_is_the_three_type_root_row_by_row(w0, w1, w2, levels):
+def test_three_type_root_on_arrays_is_the_float_form_bit_for_bit(w0, w1, w2, levels):
     # The grid's rows (signal probabilities times a prior) against the
-    # polish's closed form, on the same unnormalized weights; rows of mass
-    # at most 1e-15 are skipped, as the oracle skips them.
-    w = np.array([w0, w1, w2])
-    if w.sum() > 0.0:
-        w /= w.sum()
+    # polish's Python floats, on the same unnormalized weights, and the
+    # grid's signal values against the polish's under the linear loss (a
+    # vectorized exp may differ from math.exp in the last ulp).
+    w = [w0, w1, w2]
+    if sum(w) > 0.0:
+        w = [x / sum(w) for x in w]
     g = np.linspace(0.0, 1.0, 11)
-    sig = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
-    wq = sig * w
+    sig = g[np.indices((11,) * 3).reshape(3, -1)]  # as the oracle's grid
+    a, b, c = (x * s for x, s in zip(w, sig))
     _, ell, h = levels
-    for (a, b, c), p in zip(wq.tolist(), _largest_accepted(wq, np.array(levels)).tolist()):
-        if a + b + c > 1e-15:
-            _assert_same_root(_three_type_root(a, b, c, ell, h), p, a, b, c, ell, h)
+    roots = _three_type_root(a, b, c, ell, h).tolist()
+    assert roots == [_three_type_root(*abc, ell, h)
+                     for abc in zip(a.tolist(), b.tolist(), c.tolist())]
+    vals = _split_value_atoms(w, levels, LIN, *sig).tolist()
+    assert vals == [_split_value_atoms(w, levels, LIN, *row)
+                    for row in zip(*(s.tolist() for s in sig))]
+
+
+@pytest.mark.parametrize("h", [1e17, 1e308])
+def test_split_search_does_not_cancel_on_a_huge_high_type(h):
+    # A type at h >= 1 accepts every proposal up to 1, so with mu0 = 1/2 on
+    # it (and ell = 0) the prior itself accepts p = 1: no split does better.
+    for prefs in (LIN, SQ):
+        v, _ = split_search(BinaryTypeEnv(0.0, h, 0.5), prefs)
+        assert v == 0.0
+    # With ell = 0.1 and mu0 = 0.3 the prior blocks p = 1, so the best split
+    # is interior; h = 1 and the huge h are the same instance for the Vetoer.
+    env, ref = BinaryTypeEnv(0.1, h, 0.3), BinaryTypeEnv(0.1, 1.0, 0.3)
+    assert split_search(env, SQ)[0] == pytest.approx(split_search(ref, SQ)[0], abs=1e-12)

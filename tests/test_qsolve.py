@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vetopersuasion import (
     AssumptionViolatedError,
@@ -216,10 +216,13 @@ def test_solve_cutoff_matches_bisection(d, prefs):
 
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(UNIFORMS, TILTS), LOSSES)
+# theta_hi near 0: proposal-first's acceptance cutoffs near theta_hi leave
+# no float mass above them, yet persuasion-first solves.
+@example(lr_tilt(UniformInterval(-1.53, 1e-10), 1e-10), Linear())
+@example(lr_tilt(UniformInterval(-1.53, 1e-10), 1e-10), Exponential(5e-324))
 def test_timings_agree_property(d, prefs):
-    # On a uniform prior the two timings solve or refuse together.  A tilt
-    # may still leave no float mass above one timing's cutoff (theta_hi near
-    # 0), so only that timing refuses.  Where both solve, their values agree.
+    # The two timings solve or refuse together; where both solve, their
+    # values agree.
     outcomes = []
     for solve in (solve_persuasion_first, solve_proposal_first):
         try:
@@ -227,9 +230,8 @@ def test_timings_agree_property(d, prefs):
         except FullMassBelowError:
             outcomes.append(None)
     pf, pp = outcomes
-    if isinstance(d, UniformInterval):
-        assert (pf is None) == (pp is None)
-    if pf is None or pp is None:
+    assert (pf is None) == (pp is None)
+    if pf is None:
         return
     assert abs(pp.value - pf.value) <= 1e-9 * max(1.0, prefs.loss(1.0))
 
