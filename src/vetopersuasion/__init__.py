@@ -5,7 +5,6 @@ from .accept import (
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
-    three_type_best_proposal,
 )
 from .dist import (
     ExponentialTilt,
@@ -84,7 +83,6 @@ __all__ = [
     "solve_persuasion_first_binary",
     "solve_proposal_first",
     "solve_proposal_first_binary",
-    "three_type_best_proposal",
     "three_type_values",
     "uhat",
     "utilde",

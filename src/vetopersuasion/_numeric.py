@@ -15,6 +15,8 @@ from .errors import NoRootError
 # Bisection stops once the bracket is this narrow, or after _MAX_BISECT steps.
 _S_TOL = 1e-13
 _MAX_BISECT = 200
+# Brent's method gives up after this many steps.
+_MAX_BRENT = 100
 
 
 def linspace(lo: float, hi: float, n: int) -> List[float]:
@@ -95,7 +97,7 @@ def bisect_rising(
 
 
 def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float, rtol: float, maxiter: int = 100,
+           xtol: float, rtol: float,
            fa: Optional[float] = None, fb: Optional[float] = None) -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
@@ -104,7 +106,7 @@ def brentq(f: Callable[[float], float], a: float, b: float,
     narrower than xtol + rtol * |x|.  A caller that already holds f(a) or
     f(b) passes it as fa or fb, and f is not evaluated there again.
     Raises NoRootError when f(a) and f(b) have the same sign, or when
-    maxiter steps do not suffice.
+    _MAX_BRENT steps do not suffice.
     """
     xpre, xcur = a, b
     fpre = f(xpre) if fa is None else fa
@@ -114,7 +116,7 @@ def brentq(f: Callable[[float], float], a: float, b: float,
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise NoRootError(f"f({a!r}) and f({b!r}) have the same sign")
     xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_MAX_BRENT):
         if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre  # f changes sign between xblk and xcur
             spre = scur = xcur - xpre
@@ -140,4 +142,4 @@ def brentq(f: Callable[[float], float], a: float, b: float,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
         fcur = f(xcur)
-    raise NoRootError(f"no root within tolerance after {maxiter} Brent steps")
+    raise NoRootError(f"no root within tolerance after {_MAX_BRENT} Brent steps")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence, Tuple
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -53,14 +53,15 @@ def phi_threshold(env: BinaryTypeEnv, p: float) -> float:
 
     Values <= 0 mean "accepted at any belief", values > 1 mean "never
     accepted"; the result is deliberately not clamped so that psi_cap can
-    invert it.
+    invert it.  The ratio is (p - 2 ell) / (2 (min(p, h) - ell)), halved
+    top and bottom (the same bits) so that h near the float limit does not
+    overflow 2 (h - ell).
     """
-    two_ell = 2.0 * env.ell
-    if p <= two_ell:
+    if p <= 2.0 * env.ell:
         # Below 2*ell every belief accepts; extend linearly so the
         # threshold stays continuous and increasing through p = 2*ell.
-        return (p - two_ell) / (2.0 * (env.h - env.ell))
-    return (p - two_ell) / (2.0 * (min(p, env.h) - env.ell))
+        return (0.5 * p - env.ell) / (env.h - env.ell)
+    return (0.5 * p - env.ell) / (min(p, env.h) - env.ell)
 
 
 def psi_cap(env: BinaryTypeEnv, mu: float) -> float:
@@ -74,26 +75,6 @@ def psi_cap(env: BinaryTypeEnv, mu: float) -> float:
         return 2.0 * ((1.0 - mu) * ell + mu * h)
     # Here mu < phi(h) < 1/2, so the denominator is positive.
     return 2.0 * ell * (1.0 - mu) / (1.0 - 2.0 * mu)
-
-
-def three_type_best_proposal(
-    prior: Tuple[float, float], levels: Tuple[float, float, float]
-) -> float:
-    """Highest acceptable proposal at a belief over three ordered bliss points.
-
-    prior = (mu_0, mu_ell) puts mu_0 on levels[0] (which must be 0),
-    mu_ell on levels[1], and the remainder on levels[2].  Returns the
-    largest p in [0, min(2h, 1)] the Vetoer weakly prefers to the status
-    quo under absolute loss, or 0 if no positive proposal is acceptable.
-    """
-    mu0, mul = prior
-    if mu0 < 0.0 or mul < 0.0 or mu0 + mul > 1.0 + 1e-12:
-        raise DomainError(f"bad belief {prior}")
-    z, ell, h = levels
-    if not (z == 0.0 and 0.0 <= ell < h):
-        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
-    weights = (mu0, mul, 1.0 - mu0 - mul)
-    return best_acceptable_proposal(levels, weights)
 
 
 def best_acceptable_proposal(

@@ -25,7 +25,6 @@ from .accept import (
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
-    three_type_best_proposal,
 )
 from .errors import AssumptionViolatedError, DomainError
 from .prefs import ProposerPreferences
@@ -170,10 +169,12 @@ def three_type_values(
     wh = 1.0 - w0 - wl
     if min(w0, wl, wh) < 0.0:
         raise DomainError(f"bad prior {prior}")
+    z, ell, h = levels
+    if not (z == 0.0 and 0.0 <= ell < h):
+        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
     weights = (w0, wl, wh)
 
-    p_flat = three_type_best_proposal(prior, levels)
-    v_noinfo = prefs.utility(p_flat)
+    v_noinfo = prefs.utility(best_acceptable_proposal(levels, weights))
 
     v_fullinfo = sum(
         w * prefs.utility(min(2.0 * t, 1.0)) for w, t in zip(weights, levels)

@@ -26,6 +26,8 @@ from .errors import DomainError
 from .prefs import ProposerPreferences
 
 _REFINE_TOL = 1e-10
+# Grid points on which the price-function certificates are checked.
+_CERT_GRID = 2000
 
 
 def _indirect(s, prefs: ProposerPreferences):
@@ -127,7 +129,6 @@ def verify_certificate(
     prefs: ProposerPreferences,
     s_star: float,
     s_upper: float,
-    grid_n: int = 2000,
 ) -> Tuple[bool, float]:
     """Price-function certificate for a binary cutoff experiment.
 
@@ -147,14 +148,14 @@ def verify_certificate(
 
     # Payoff gaps are judged in units of max(1, c(1)); the Bayes gap, in
     # type units, stays absolute.
-    viol = float(max(_max_excess(d, prefs, price, grid_n),
+    viol = float(max(_max_excess(d, prefs, price),
                      abs(price(s_star) + c1), abs(price(s_upper) - u_up)))
     gap = abs(d.cond_mean_above(s_star) - s_upper)
     return viol <= 1e-9 * max(1.0, c1) and gap <= 1e-9, max(viol, gap)
 
 
 def verify_no_info_certificate(
-    d: TypeDistribution, prefs: ProposerPreferences, grid_n: int = 2000
+    d: TypeDistribution, prefs: ProposerPreferences
 ) -> Tuple[bool, float]:
     """Tangent-line certificate that revealing nothing is optimal."""
     m = d.mean()
@@ -162,14 +163,15 @@ def verify_no_info_certificate(
         return False, float("inf")
     u_m = _indirect(m, prefs)
     slope = 2.0 * prefs.utility_deriv(2.0 * m)
-    viol = _max_excess(d, prefs, lambda s: u_m + slope * (s - m), grid_n)
+    viol = _max_excess(d, prefs, lambda s: u_m + slope * (s - m))
     return viol <= 1e-9 * max(1.0, prefs.loss(1.0)), viol
 
 
-def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price, grid_n: int) -> float:
-    """Largest excess of the indirect utility over a price function on a grid
-    of the support: 0 where the price majorizes it, NaN at a NaN point."""
-    s = np.linspace(*d.support, grid_n)
+def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price) -> float:
+    """Largest excess of the indirect utility over a price function on a
+    _CERT_GRID-point grid of the support: 0 where the price majorizes it, NaN
+    at a NaN point."""
+    s = np.linspace(*d.support, _CERT_GRID)
     return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
 

@@ -18,6 +18,7 @@ the test suite enforces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
@@ -58,8 +59,18 @@ def indirect_u(s: float, prefs: ProposerPreferences) -> float:
     return -prefs.loss(1.0 - 2.0 * s)
 
 
+def _anchor(m: float, prefs: ProposerPreferences) -> float:
+    """The s whose line from (s, -c(1)) touches U at m in [0, 1/2]: -inf
+    where u'(2m) = 0, and clamped at 0 against rounding (see solve_cutoff)."""
+    slope = 2.0 * prefs.utility_deriv(2.0 * m)
+    if slope == 0.0:
+        return -math.inf
+    return min(m - (prefs.utility(2.0 * m) - prefs.utility(0.0)) / slope, 0.0)
+
+
 def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
-    """Whether the tangent line at the prior mean majorizes U.
+    """Whether the tangent line at the prior mean majorizes U, i.e. its
+    anchor lies at or below theta_lo.
 
     Equivalent to: no experiment improves on proposing 2 E[theta] outright.
     """
@@ -73,30 +84,7 @@ def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
         return True
     if mean <= 0.0:
         return False
-    lhs = 2.0 * prefs.utility_deriv(2.0 * mean) * (mean - theta_lo)
-    rhs = prefs.utility(2.0 * mean) - prefs.utility(0.0)
-    return lhs <= rhs
-
-
-def _tangency_point(s: float, prefs: ProposerPreferences) -> float:
-    """Contact point of the steepest line from (s, -c(1)) to the hump of U.
-
-    Returns the m in (0, 1/2] where the chord from (s, U(s)) to (m, U(m))
-    supports U from above on [s, theta_hi]; m = 1/2 is the corner case
-    (possible for weakly convex u, e.g. the linear family).
-    """
-    u0 = prefs.utility(0.0)
-
-    def g(m: float) -> float:
-        return prefs.utility(2.0 * m) - u0 - 2.0 * prefs.utility_deriv(2.0 * m) * (m - s)
-
-    # g is nondecreasing in m for concave u, g(0) <= 0 for s <= 0.
-    g_half = g(0.5)
-    if g_half <= 0.0:
-        return 0.5
-    if s >= 0.0:
-        return 0.0
-    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16, fb=g_half)
+    return _anchor(mean, prefs) <= theta_lo
 
 
 def solve_cutoff(
@@ -104,54 +92,83 @@ def solve_cutoff(
 ) -> Tuple[float, float]:
     """The optimal cutoff s_star in [theta_lo, 0] and s_upper = E[theta|theta>=s_star].
 
-    Brent's method on z(s) = E[theta | theta >= s] - t(s), where t(s) is
-    the tangency (or corner) point of the supporting line anchored at
-    (s, -c(1)).  z is negative at theta_lo whenever no information is
-    suboptimal and positive near 0, so the bracket is guaranteed.
+    The line through (s, -c(1)) with slope U'(m) = 2 u'(2m) touches U at m
+    when -c(1) + 2 u'(2m) (m - s) = u(2m), that is at the anchor
+
+        A(m) = m - (u(2m) - u(0)) / (2 u'(2m)).
+
+    Concavity gives u(0) <= u(2m) - 2m u'(2m), so A(m) <= 0, with equality
+    for every m only when u is affine.  A'(m) = (u(2m) - u(0)) u''(2m) /
+    u'(2m)^2 <= 0, so A is non-increasing, down to -inf where u'(2m) = 0.
+    The cutoff is optimal when its line touches U at the upper posterior
+    mean, s = A(E[theta | theta >= s]) (Kamenica & Gentzkow 2011).  Three
+    cases:
+
+    * corner: A(1/2) > theta_lo and E[theta | theta >= A(1/2)] >= 1/2.  Every
+      line anchored at s <= A(1/2) touches U at the kink m = 1/2, so s_star
+      solves E[theta | theta >= s] = 1/2;
+    * affine u, A(1/2) >= 0 (A = 0): the chord to (1/2, 0) is U itself, and
+      revealing whether theta >= 0 maximizes the expected policy: s_star = 0;
+    * otherwise s_star is the root of z(s) = s - max(A(m(s)), theta_lo),
+      where m(s) is E[theta | theta >= s] clipped to [0, 1/2].  z rises, as
+      A o m does not; z(0) >= 0, and z(theta_lo) <= 0 with equality exactly
+      when no information is optimal, A(E[theta]) <= theta_lo.
+
+    The root find runs over s, not m: where u' vanishes at 1 (Power with
+    gamma near 1), A falls from near 0 to -inf within the last floats below
+    m = 1/2, where no m resolves the cutoff.  A nearly affine u can round A
+    above 0, so A is clamped there, which keeps z(0) >= 0.  Each case takes
+    one Brent run at most, with no root find inside it.
     """
     theta_lo, _ = d.support
     if theta_lo >= 0.0:
         raise NoRootError("no cutoff exists when the whole support is nonnegative")
-
-    def z(s: float) -> float:
-        return d.cond_mean_above(s) - _tangency_point(s, prefs)
-
-    z_hi = z(0.0)
-    if z_hi <= 0.0:
-        # Corner of a kinked u: the expected policy is maximized at cutoff 0.
+    a_half = _anchor(0.5, prefs)
+    if a_half > theta_lo and d.cond_mean_above(a_half) >= 0.5:
+        s_star = brentq(lambda s: d.cond_mean_above(s) - 0.5, theta_lo, a_half,
+                        xtol=1e-14, rtol=8.9e-16)
+    elif a_half >= 0.0:
         return 0.0, d.cond_mean_above(0.0)
-    z_lo = z(theta_lo)
-    if z_lo >= 0.0:
+    else:
+        def z(s: float) -> float:
+            m = min(max(d.cond_mean_above(s), 0.0), 0.5)
+            return s - max(_anchor(m, prefs), theta_lo)
+
+        s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
+    if s_star <= theta_lo:
         raise NoRootError(
             "no interior cutoff: no information is optimal for this instance"
         )
-
-    # The guards' values seed Brent, so neither end is solved for again.
-    s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16, fa=z_lo, fb=z_hi)
     return s_star, d.cond_mean_above(s_star)
 
 
-def _require_continuous(d: TypeDistribution) -> None:
+def _trivial_outcome(
+    d: TypeDistribution, prefs: ProposerPreferences
+) -> Optional[SolveOutcome]:
+    """The outcome both timings reach without a search, or None: the status
+    quo when at most the mass that conditioning treats as empty lies at or
+    above 0 (theta_hi <= 0, or a subnormal theta_hi), the ideal proposal
+    when E[theta] >= 1/2."""
     if isinstance(d, FiniteAtoms):
         raise UnsupportedCombinationError(
             "the quadratic-loss solver assumes a continuous type density; "
             "use the linear-loss atom solvers for discrete types"
         )
+    if 1.0 - d.cdf(0.0) <= _MASS_EPS:
+        return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -prefs.loss(1.0), 1.0)
+    if d.mean() >= 0.5:
+        return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)
+    return None
 
 
 def solve_persuasion_first(
     d: TypeDistribution, prefs: ProposerPreferences
 ) -> SolveOutcome:
     """Optimal experiment-then-proposal outcome."""
-    _require_continuous(d)
-    c1 = prefs.loss(1.0)
-    # At most the mass that conditioning treats as empty lies at or above 0
-    # (theta_hi <= 0, or a subnormal theta_hi): both timings keep the status quo.
-    if 1.0 - d.cdf(0.0) <= _MASS_EPS:
-        return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -c1, 1.0)
+    trivial = _trivial_outcome(d, prefs)
+    if trivial is not None:
+        return trivial
     mean = d.mean()
-    if mean >= 0.5:
-        return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)
     if mean > 0.0 and no_info_optimal(d, prefs):
         proposal = min(2.0 * mean, 1.0)
         return SolveOutcome(
@@ -159,7 +176,7 @@ def solve_persuasion_first(
         )
     s_star, s_upper = solve_cutoff(d, prefs)
     veto = d.cdf(s_star)
-    value = veto * (-c1) + (1.0 - veto) * indirect_u(s_upper, prefs)
+    value = veto * (-prefs.loss(1.0)) + (1.0 - veto) * indirect_u(s_upper, prefs)
     return SolveOutcome(
         Regime.BINARY_CUTOFF,
         s_star,
@@ -211,11 +228,10 @@ def solve_proposal_first(
     of [0, min(2 theta_hi, 1)]; for each proposal the best experiment is the
     acceptance-probability-maximizing cutoff.
     """
-    _require_continuous(d)
+    trivial = _trivial_outcome(d, prefs)
+    if trivial is not None:
+        return trivial
     _, theta_hi = d.support
-    c1 = prefs.loss(1.0)
-    if 1.0 - d.cdf(0.0) <= _MASS_EPS:  # as in solve_persuasion_first
-        return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -c1, 1.0)
     mean = d.mean()
 
     # linspace ends on min(2 theta_hi, 1) exactly: 800 steps can round an ulp
@@ -223,8 +239,6 @@ def solve_proposal_first(
     grid = linspace(0.0, min(2.0 * theta_hi, 1.0), 801)
     p_opt, value = grid_max(lambda p: _proposal_value(d, prefs, p), grid, _GOLDEN_TOL)
 
-    if mean >= 0.5:
-        return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)
     if mean > 0.0 and p_opt <= 2.0 * mean + 1e-9:
         return SolveOutcome(Regime.NO_INFO, None, None, p_opt, value, 0.0)
     s_star = _acceptance_cutoff(d, 0.5 * p_opt)

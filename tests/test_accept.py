@@ -4,10 +4,11 @@ import pytest
 from vetopersuasion import (
     BinaryTypeEnv,
     DomainError,
+    Linear,
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
-    three_type_best_proposal,
+    three_type_values,
 )
 
 
@@ -38,6 +39,14 @@ class TestBinaryEnv:
         assert psi_cap(env, 0.2) == pytest.approx(0.4)
         assert psi_cap(env, 0.3) == pytest.approx(0.525)
         assert psi_cap(env, 0.45) == pytest.approx(0.795)
+
+    def test_high_type_near_the_float_limit(self):
+        # 2 (h - ell) overflowed for h above ~9e307: phi(h) read 0 and psi
+        # returned 2 ((1 - mu) ell + mu h), far past p_bar.
+        near, far = BinaryTypeEnv(0.1, 1e300, 0.3), BinaryTypeEnv(0.1, 1e308, 0.3)
+        assert phi_threshold(far, far.h) == pytest.approx(0.5)
+        for mu in np.linspace(0.0, 1.0, 41):
+            assert psi_cap(far, mu) == psi_cap(near, mu) <= far.p_bar
 
     def test_psi_phi_inverse(self):
         # psi(mu) is the largest acceptable proposal: phi(psi(mu)) <= mu,
@@ -70,7 +79,7 @@ class TestBestAcceptable:
             for wl in np.linspace(0.01, 0.97, 50):
                 if w0 + wl >= 0.999:
                     continue
-                got = three_type_best_proposal((w0, wl), levels)
+                got = best_acceptable_proposal(levels, (w0, wl, 1.0 - w0 - wl))
                 if w0 > 0.5:
                     expected = 0.0
                 elif 2.0 * w0 + 1.6 * wl <= 1.0:
@@ -81,6 +90,8 @@ class TestBestAcceptable:
 
     def test_three_type_validation(self):
         with pytest.raises(DomainError):
-            three_type_best_proposal((0.5, 0.5), (0.1, 0.2, 0.5))  # lowest != 0
+            three_type_values((0.5, 0.4), (0.1, 0.2, 0.5), Linear())  # lowest != 0
         with pytest.raises(DomainError):
-            three_type_best_proposal((0.8, 0.5), (0.0, 0.1, 0.5))  # weights > 1
+            three_type_values((0.5, 0.4), (0.0, 0.5, 0.5), Linear())  # ell == h
+        with pytest.raises(DomainError):
+            three_type_values((0.8, 0.5), (0.0, 0.1, 0.5), Linear())  # weights > 1

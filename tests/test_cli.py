@@ -147,6 +147,18 @@ def test_flag_only_where_read(argv):
     assert exc.value.code == 2
 
 
+def test_solve_linear2_high_type_near_the_float_limit(capsys):
+    # h = 1e308 solves as h = 1e300 does (phi once overflowed 2 (h - ell)).
+    argv = ("solve", "linear2", "persuasion-first", "atoms:0.1:.7,{}:.3", "power:2", "--json")
+    reports = []
+    for h in ("1e308", "1e300"):
+        code, out, _ = run(capsys, *(a.format(h) for a in argv))
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert reports[0]["value"] == pytest.approx(-0.2065, abs=1e-12)
+
+
 @pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
 def test_solve_large_cara_loss(capsys, timing):
     # exp(700) is still finite: it solves or fails with an input error.

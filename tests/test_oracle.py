@@ -175,8 +175,7 @@ class TestBinarySignalSearch:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        for name in ["best_acceptable_proposal", "three_type_best_proposal"]:
-            monkeypatch.setattr(accept, name, boom)
+        monkeypatch.setattr(accept, "best_acceptable_proposal", boom)
         v, _ = binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, grid_n=41)
         assert v == pytest.approx(-13.0 / 15.0, abs=1e-4)
 
@@ -206,8 +205,7 @@ class TestProposalFirstGrid:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal",
-                 "three_type_best_proposal"]
+        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal"]
         for module in (accept, lsolve, oracle):
             for name in names:
                 if hasattr(module, name):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,9 +24,9 @@ from vetopersuasion import (
 )
 from vetopersuasion import qsolve
 from vetopersuasion._numeric import bisect_rising, brentq
-from vetopersuasion.closedform import u_bi
-from vetopersuasion.oracle import _partition_value
-from vetopersuasion.qsolve import _acceptance_cutoff, _tangency_point
+from vetopersuasion.closedform import linear_case_uniform, u_bi
+from vetopersuasion.oracle import _partition_value, verify_certificate
+from vetopersuasion.qsolve import _acceptance_cutoff
 
 U11 = UniformInterval(-1.0, 1.0)
 SQ = Power(2.0)
@@ -54,10 +56,32 @@ def test_solve_cutoff_uniform_quadratic():
 
 def test_solve_cutoff_linear_corner():
     # Risk-neutral Proposer: maximize the expected accepted policy by
-    # revealing whether theta >= 0.
+    # revealing whether theta >= 0.  Affine u: the anchor is 0 exactly.
     s_star, s_upper = solve_cutoff(U11, Linear())
     assert s_star == 0.0
     assert s_upper == pytest.approx(0.5)
+    # The anchor's rounding must not move an affine u's cutoff off 0 exactly.
+    d = lr_tilt(UniformInterval(-1.0, 0.21875), 0.5)
+    assert solve_cutoff(d, Linear()) == (0.0, d.cond_mean_above(0.0))
+
+
+def test_solve_cutoff_kink_corner_matches_closed_form():
+    # theta_hi > 1: the line anchored at the cutoff touches U at the kink
+    # m = 1/2, so the cutoff makes E[theta | theta >= s] exactly 1/2.
+    s_star, s_upper = solve_cutoff(UniformInterval(-1.0, 1.5), Linear())
+    expected, _ = linear_case_uniform(-1.0, 1.5)
+    assert s_star == pytest.approx(expected, abs=1e-12)
+    assert s_upper == pytest.approx(0.5, abs=1e-12)
+
+
+def test_solve_cutoff_where_u_prime_vanishes_at_the_ideal():
+    # Power(1.5) has u'(1) = 0, so the anchor at m = 1/2 is -inf.
+    prefs = Power(1.5)
+    assert qsolve._anchor(0.5, prefs) == -math.inf
+    s_star, s_upper = solve_cutoff(U11, prefs)
+    assert -1.0 < s_star < 0.0 and s_upper == pytest.approx(0.5 * (s_star + 1.0))
+    assert s_star == pytest.approx(_nested_cutoff(U11, prefs), abs=1e-12)
+    assert verify_certificate(U11, prefs, s_star, s_upper)[0]
 
 
 def test_solve_cutoff_preconditions():
@@ -150,6 +174,31 @@ LOSSES = st.one_of(
 )
 
 
+def _nested_tangency(s, prefs):
+    # Reference only: the contact point m in (0, 1/2] of the steepest line
+    # from (s, -c(1)) to the hump of U, by a Brent run of its own.
+    u0 = prefs.utility(0.0)
+
+    def g(m):
+        return prefs.utility(2.0 * m) - u0 - 2.0 * prefs.utility_deriv(2.0 * m) * (m - s)
+
+    g_half = g(0.5)
+    if g_half <= 0.0:
+        return 0.5
+    if s >= 0.0:
+        return 0.0
+    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16, fb=g_half)
+
+
+def _nested_z(d, prefs):
+    return lambda s: d.cond_mean_above(s) - _nested_tangency(s, prefs)
+
+
+def _nested_cutoff(d, prefs):
+    lo, hi = bisect_rising(_nested_z(d, prefs), 0.0, d.support[0], 0.0)
+    return 0.5 * (lo + hi)
+
+
 def _bisected_acceptance_cutoff(d, target):
     theta_lo, theta_hi = d.support
     if d.cond_mean_above(theta_lo) >= target:
@@ -190,11 +239,21 @@ def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
 
 @settings(max_examples=150, deadline=None)
 @given(st.one_of(UNIFORMS, TILTS), LOSSES)
+# u'(1) = 0 with gamma this close to 1: the anchor falls from -1e-6 to -inf
+# inside the last float below m = 1/2, so a root find over m alone misses
+# the cutoff where E[theta | theta >= s] crosses 1/2.
+@example(
+    lr_tilt(UniformInterval(-0.6861189067730924, 0.9369979454205444), 1.9158950475721361),
+    Power(1.0000002583802825),
+)
+# Here the anchor rounds above 0 at some m; unclamped, z(0) < 0 and Brent
+# finds no sign change.
+@example(UniformInterval(-1.079321704867209, 0.10969419598768214), Power(1.0000000000000002))
 def test_solve_cutoff_matches_bisection(d, prefs):
+    # The reference is the nested formulation: bisection over s on
+    # E[theta | theta >= s] minus the tangency point found by its own Brent run.
     theta_lo = d.support[0]
-
-    def z(s):
-        return d.cond_mean_above(s) - _tangency_point(s, prefs)
+    z = _nested_z(d, prefs)
 
     try:
         z0 = z(0.0)
@@ -237,26 +296,43 @@ def test_timings_agree_property(d, prefs):
 
 
 @pytest.mark.parametrize(
-    "d", [U11, UniformInterval(-1.0, 0.8), lr_tilt(UniformInterval(-1.0, 0.8), 1.0)]
+    "d,prefs",
+    [
+        (U11, SQ),  # interior tangency
+        (lr_tilt(UniformInterval(-1.0, 0.8), 1.0), Power(1.5)),  # u'(1) = 0
+        (UniformInterval(-1.0, 1.5), Linear()),  # kink corner
+    ],
 )
-def test_solve_cutoff_solves_each_tangency_once(d, monkeypatch):
-    # The guards' z(0) and z(theta_lo) seed Brent, so solve_cutoff finds
-    # exactly the tangencies of a Brent run that evaluates both ends itself.
-    tangency = []
+def test_solve_cutoff_runs_one_brent_without_a_nested_root_find(d, prefs, monkeypatch):
+    calls, depth = [], [0]
 
-    def counted(s, prefs):
-        tangency.append(s)
-        return _tangency_point(s, prefs)
+    def counted(f, *args, **kwargs):
+        assert depth[0] == 0, "a root find inside the objective"
+        calls.append(args[:2])
+        depth[0] += 1
+        try:
+            return brentq(f, *args, **kwargs)
+        finally:
+            depth[0] -= 1
 
-    monkeypatch.setattr(qsolve, "_tangency_point", counted)
-    s_star, _ = solve_cutoff(d, SQ)
+    monkeypatch.setattr(qsolve, "brentq", counted)
+    s_star, _ = solve_cutoff(d, prefs)
+    assert len(calls) == 1
+    assert s_star == pytest.approx(_nested_cutoff(d, prefs), abs=1e-12)
 
-    theta_lo, brent_points = d.support[0], []
 
-    def z(s):
-        brent_points.append(s)
-        return d.cond_mean_above(s) - _tangency_point(s, SQ)
+# Large CARA coefficients whose loss stays finite on [0, 1] (overflow past ~709).
+LOSSES_WITH_LARGE_EXP = st.one_of(LOSSES, st.floats(650.0, 709.0).map(Exponential))
 
-    assert s_star == brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
-    assert brent_points[:2] == [theta_lo, 0.0]
-    assert tangency[:2] == [0.0, theta_lo] and tangency[2:] == brent_points[2:]
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(UNIFORMS, TILTS), LOSSES_WITH_LARGE_EXP)
+@example(U11, Exponential(700.0))
+def test_binary_cutoff_answers_pass_the_price_certificate(d, prefs):
+    try:
+        r = solve_persuasion_first(d, prefs)
+    except FullMassBelowError:
+        return
+    if r.regime is Regime.BINARY_CUTOFF:
+        ok, viol = verify_certificate(d, prefs, r.s_star, r.s_upper)
+        assert ok, viol
