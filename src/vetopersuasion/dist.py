@@ -43,6 +43,11 @@ class TypeDistribution(ABC):
         """Integral of theta over the event {theta >= s}."""
 
     @abstractmethod
+    def mass_above(self, s: float) -> float:
+        """P(theta >= s), not formed as 1 - cdf(s), which cancels when the
+        mass is tiny."""
+
+    @abstractmethod
     def cond_mean_above(self, s: float) -> float:
         """E[theta | theta >= s]; raises FullMassBelowError when at most
         _MASS_EPS of mass lies at or above s."""
@@ -81,9 +86,16 @@ class UniformInterval(TypeDistribution):
             return 0.0
         return 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
 
+    def mass_above(self, s: float) -> float:
+        if s <= self.lo:
+            return 1.0
+        if s >= self.hi:
+            return 0.0
+        return (self.hi - s) / (self.hi - self.lo)
+
     def cond_mean_above(self, s: float) -> float:
         a = max(s, self.lo)
-        if 1.0 - self.cdf(s) <= _MASS_EPS:
+        if self.mass_above(s) <= _MASS_EPS:
             raise FullMassBelowError(f"no mass above s={s!r}")
         return 0.5 * (a + self.hi)
 
@@ -177,10 +189,14 @@ class ExponentialTilt(TypeDistribution):
         a = min(max(s, lo), hi)
         return self._share(a, hi) * self._mean_from(a)
 
+    def mass_above(self, s: float) -> float:
+        lo, hi = self.support
+        return self._share(min(max(s, lo), hi), hi)
+
     def cond_mean_above(self, s: float) -> float:
         lo, hi = self.support
         a = max(s, lo)
-        if self._share(a, hi) <= _MASS_EPS:
+        if self._share(a, hi) <= _MASS_EPS:  # mass_above(s) for s <= hi
             raise FullMassBelowError(f"no mass above s={s!r}")
         return self._mean_from(a)
 

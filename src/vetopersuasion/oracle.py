@@ -5,7 +5,9 @@ solvers: payoffs are recomputed from the loss primitives, the binary
 persuasion-first value is the best split of the prior over every pair of
 grid beliefs instead of a tangency, and optima are located by exhaustive
 grids with a golden-section polish.  The grids are vectorised over the loss
-primitives (``ProposerPreferences.loss_array``), and the linear-loss checks
+primitives (``ProposerPreferences.loss_array``) and evaluated in blocks of
+rows, at most _BLOCK entries each, so that no float64 temporary outgrows
+glibc's default mmap threshold (see _BLOCK).  The linear-loss checks
 derive acceptance from the Vetoer's absolute loss rather than from
 ``accept``: one closed form, ``_three_type_root``, serves the two-type split
 grid and the three-type grid and polish.  So the oracles share no model
@@ -28,6 +30,12 @@ from .prefs import ProposerPreferences
 _REFINE_TOL = 1e-10
 # Grid points on which the price-function certificates are checked.
 _CERT_GRID = 2000
+# Entries per block of a grid.  A float64 temporary of 8,192 entries takes
+# 64 KiB, under glibc's default 128 KiB mmap threshold, so numpy reuses heap
+# memory for it instead of mapping and faulting in fresh pages on each of the
+# dozens of temporaries a grid builds; nor do the timings then depend on how
+# far earlier frees have raised that threshold.
+_BLOCK = 8192
 
 
 def _indirect(s, prefs: ProposerPreferences):
@@ -37,6 +45,28 @@ def _indirect(s, prefs: ProposerPreferences):
     if type(s) is float:
         return -prefs.loss(1.0 - 2.0 * min(max(s, 0.0), 0.5))
     return -prefs.loss_array(1.0 - 2.0 * np.clip(s, 0.0, 0.5))
+
+
+def _first_max(n_rows: int, width: Callable[[int], int], rows):
+    """First maximum, in row-major order, of a grid of n_rows rows built in
+    blocks: rows(r0, r1) returns rows r0:r1 as an array, each row width(r0)
+    entries wide, and a block takes max(1, _BLOCK // width(r0)) rows.  A later
+    block must be strictly better, so the winner is np.argmax's over the whole
+    grid (a NaN wins, as there).  Returns (value, r0, k), k the flat index in
+    the winning block, or None without rows.  It serves all three grids: the
+    partition grid's rows start at the column after the block's first row,
+    so it computes only the blocks' corners below the diagonal, and masks
+    them."""
+    best, r0 = None, 0
+    while r0 < n_rows:
+        r1 = min(n_rows, r0 + max(1, _BLOCK // width(r0)))
+        vals = rows(r0, r1)
+        k = int(np.argmax(vals))
+        v = float(vals.flat[k])
+        if best is None or v > best[0] or (v != v and best[0] == best[0]):  # NaN != NaN
+            best = (v, r0, k)
+        r0 = r1
+    return best
 
 
 def _coordinate_polish(
@@ -91,31 +121,42 @@ def partition_search(
     xs = np.linspace(lo, hi, grid_n)
     F = np.array([d.cdf(x) for x in xs])
     T = np.array([d.upper_partial_mean(x) for x in xs])
+    Fin, Tin = F[1:-1], T[1:-1]  # at the inner points, the candidate cuts
 
-    def cell_u(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        mass = F[j] - F[i]
-        mean = np.where(mass > 0.0, (T[i] - T[j]) / np.where(mass > 0, mass, 1.0), 0.0)
+    def cell_u(f_a, t_a, f_b, t_b):
+        # Value of the cells [a, b], elementwise over broadcast ends.
+        mass = f_b - f_a
+        mean = np.where(mass > 0.0, (t_a - t_b) / np.where(mass > 0, mass, 1.0), 0.0)
         return np.where(mass > 0.0, mass * _indirect(mean, prefs), 0.0)
 
     best_val = _partition_value(d, prefs, [])
     best_cuts: Tuple[float, ...] = ()
 
     if k_max >= 2:
-        idx = np.arange(1, grid_n - 1)
         # Values of the cells [lo, xs[i]] and [xs[i], hi], one per inner point.
-        low = cell_u(np.zeros_like(idx), idx)
-        top = cell_u(idx, np.full_like(idx, grid_n - 1))
+        low = cell_u(F[0], T[0], Fin, Tin)
+        top = cell_u(Fin, Tin, F[-1], T[-1])
         vals = low + top
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_cuts = float(vals[k]), (float(xs[idx[k]]),)
+        if vals.size:  # grid_n = 2 has no inner point
+            k = int(np.argmax(vals))
+            if vals[k] > best_val:
+                best_val, best_cuts = float(vals[k]), (float(xs[k + 1]),)
 
     if k_max >= 3:
-        ii, jj = np.triu_indices(grid_n - 2, k=1)
-        vals = low[ii] + cell_u(ii + 1, jj + 1) + top[jj]
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best_val, best_cuts = float(vals[k]), (float(xs[ii[k] + 1]), float(xs[jj[k] + 1]))
+        m = grid_n - 2
+
+        def pairs(i0, i1):
+            # Inner cut pairs i < j, rows i0:i1 from column i0 + 1 on.
+            i, j = slice(i0, i1), slice(i0 + 1, m)
+            vals = low[i, None] + cell_u(Fin[i, None], Tin[i, None], Fin[j], Tin[j]) + top[j]
+            vals[np.tri(*vals.shape, -1, dtype=bool)] = -np.inf  # j <= i
+            return vals
+
+        found = _first_max(m - 1, lambda i0: m - 1 - i0, pairs)
+        if found and found[0] > best_val:
+            v, i0, k = found
+            r, c = divmod(k, m - 1 - i0)
+            best_val, best_cuts = v, (float(xs[i0 + r + 1]), float(xs[i0 + c + 2]))
 
     best_val, cuts = _coordinate_polish(
         lambda trial: _partition_value(d, prefs, trial),
@@ -252,13 +293,17 @@ def binary_signal_search_atoms(
     levels = [float(t) for t in levels]
 
     g = np.linspace(0.0, 1.0, grid_n)
-    sig = g[np.indices((grid_n,) * 3).reshape(3, -1)]  # rows: sigma_0, sigma_1, sigma_2
-    total = _split_value_atoms(weights, levels, prefs, *sig)
-    k = int(np.argmax(total))
+    # Slabs of sigma_0 against every (sigma_1, sigma_2).  Above grid 90 one
+    # slab outgrows _BLOCK, but at the cap, 101, its 10,201 entries (80 KiB)
+    # still stay under the mmap threshold.
+    n2 = grid_n * grid_n
+    total, i0, k = _first_max(grid_n, lambda _: n2, lambda i0, i1: _split_value_atoms(
+        weights, levels, prefs, g[i0:i1, None, None], g[:, None], g))
+    start = [float(g[i0 + k // n2]), float(g[k // grid_n % grid_n]), float(g[k % grid_n])]
     # The polish runs on Python floats: no numpy scalar in its inner loop.
     best, sigma = _coordinate_polish(
         lambda trial: _split_value_atoms(weights, levels, prefs, *trial),
-        [float(s[k]) for s in sig], float(total[k]), 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
+        start, total, 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
     )
     return best, (sigma[0], sigma[1], sigma[2])
 
@@ -299,20 +344,27 @@ def _grid_split(
     env: BinaryTypeEnv, prefs: ProposerPreferences, mus: np.ndarray
 ) -> Tuple[float, List[float]]:
     """Best split of the prior mu0 into two beliefs a <= mu0 <= b from the
-    ascending candidates mus (mu0 among them), all pairs scored at once:
-    weight (b - mu0) / (b - a) on a and the rest on b, or no information
-    when a = b = mu0.  Returns (value, [a, b])."""
+    ascending candidates mus (mu0 among them), all pairs scored in row
+    blocks: weight (b - mu0) / (b - a) on a and the rest on b, or no
+    information when a = b = mu0.  Returns (value, [a, b])."""
     mu0 = env.mu0
     p = _three_type_root(0.0, 1.0 - mus, mus, env.ell, env.h)
     u = -prefs.loss_array(1.0 - p)
     i = int(np.searchsorted(mus, mu0))  # mus[i] == mu0
-    a, b = mus[: i + 1, None], mus[None, i:]
-    with np.errstate(invalid="ignore"):  # a = b = mu0: 0 / 0, set below
-        w = (b - mu0) / (b - a)
-    vals = w * u[: i + 1, None] + (1.0 - w) * u[None, i:]
-    vals[-1, 0] = u[i]
-    ka, kb = np.unravel_index(int(np.argmax(vals)), vals.shape)
-    return float(vals[ka, kb]), [float(a[ka, 0]), float(b[0, kb])]
+    b, u_b = mus[i:], u[i:]
+
+    def pairs(a0, a1):
+        # Beliefs a = mus[a0:a1] against every b >= mu0.
+        with np.errstate(invalid="ignore"):  # a = b = mu0: 0 / 0, set below
+            w = (b - mu0) / (b - mus[a0:a1, None])
+        vals = w * u[a0:a1, None] + (1.0 - w) * u_b
+        if a1 > i:
+            vals[-1, 0] = u[i]
+        return vals
+
+    value, a0, k = _first_max(i + 1, lambda _: len(b), pairs)
+    ka, kb = divmod(k, len(b))
+    return value, [float(mus[a0 + ka]), float(b[kb])]
 
 
 def split_search(

@@ -127,6 +127,9 @@ def solve_cutoff(
     if a_half > theta_lo and d.cond_mean_above(a_half) >= 0.5:
         s_star = brentq(lambda s: d.cond_mean_above(s) - 0.5, theta_lo, a_half,
                         xtol=1e-14, rtol=8.9e-16)
+        # E[theta] < 1/2 puts the root above theta_lo, but it can lie within
+        # xtol of it, where Brent may return theta_lo itself.
+        s_star = max(s_star, math.nextafter(theta_lo, 0.0))
     elif a_half >= 0.0:
         return 0.0, d.cond_mean_above(0.0)
     else:
@@ -135,10 +138,10 @@ def solve_cutoff(
             return s - max(_anchor(m, prefs), theta_lo)
 
         s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
-    if s_star <= theta_lo:
-        raise NoRootError(
-            "no interior cutoff: no information is optimal for this instance"
-        )
+        if s_star <= theta_lo:
+            raise NoRootError(
+                "no interior cutoff: no information is optimal for this instance"
+            )
     return s_star, d.cond_mean_above(s_star)
 
 
@@ -154,7 +157,7 @@ def _trivial_outcome(
             "the quadratic-loss solver assumes a continuous type density; "
             "use the linear-loss atom solvers for discrete types"
         )
-    if 1.0 - d.cdf(0.0) <= _MASS_EPS:
+    if d.mass_above(0.0) <= _MASS_EPS:
         return SolveOutcome(Regime.STATUS_QUO_ONLY, None, None, 0.0, -prefs.loss(1.0), 1.0)
     if d.mean() >= 0.5:
         return SolveOutcome(Regime.IDEAL_ACCEPTED, None, None, 1.0, 0.0, 0.0)

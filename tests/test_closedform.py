@@ -109,6 +109,8 @@ def test_linear_case_uniform():
 @example(-2.0, 5e-324)  # no float mass above 0: the solver keeps the status quo
 @example(-2.2250738585072014e-308, 0.6821104147023181)  # 2 (mean - lo) rounds to 2 mean
 @example(-1.1125369292536007e-308, 1.0)  # the mean rounds to 1/2
+@example(-1.0, 1.9999999999999998)  # the corner root lies 2 ulp above theta_lo
+@example(-0.99999, 1e-12)  # 1 - cdf(0) reads 9.99978e-13 for a mass of 1.00001e-12
 def test_linear_case_uniform_matches_the_solver(lo, hi):
     cut, accept = linear_case_uniform(lo, hi)
     r = solve_persuasion_first(UniformInterval(lo, hi), Linear())

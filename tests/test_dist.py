@@ -72,6 +72,16 @@ class TestUniform:
         with pytest.raises(FullMassBelowError):
             d.cond_mean_above(1.0)
 
+    def test_tiny_mass_above_does_not_cancel(self):
+        # 1 - cdf(0) reads 9.99978e-13 here; the mass is 1.00001e-12.
+        d = UniformInterval(-0.99999, 1e-12)
+        assert d.mass_above(0.0) == pytest.approx(1e-12 / (1e-12 + 0.99999), rel=1e-15)
+        assert d.cond_mean_above(0.0) == 5e-13
+        assert (d.mass_above(-2.0), d.mass_above(1e-12), d.mass_above(1.0)) == (1.0, 0.0, 0.0)
+        t = lr_tilt(d, 3.0)
+        assert t.mass_above(0.0) == pytest.approx(t._share(0.0, 1e-12), rel=0.0)
+        assert t.cond_mean_above(0.0) == pytest.approx(5e-13, rel=1e-9)
+
     @given(
         st.floats(-5.0, -0.1),
         st.floats(0.1, 5.0),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -77,6 +78,12 @@ class TestPartitionSearch:
             partition_search(U11, SQ, k_max=4, grid_n=50)
         with pytest.raises(DomainError):
             partition_search(U11, SQ, k_max=2, grid_n=600)
+
+    def test_grids_without_a_cut_or_a_cut_pair(self):
+        # Grid 2 has no inner point to cut at and grid 3 no pair of them, so
+        # the search keeps fewer cells.
+        assert partition_search(U11, SQ, k_max=3, grid_n=2) == (-1.0, ())
+        assert partition_search(U11, SQ, k_max=3, grid_n=3) == partition_search(U11, SQ, 2, 3)
 
     @pytest.mark.parametrize("d", [U11, TILT], ids=["uniform", "tilt"])
     @pytest.mark.parametrize("prefs", [SQ, LIN, Exponential(3.0)], ids=["sq", "lin", "exp"])
@@ -220,6 +227,101 @@ def test_oracle_never_beats_trusted_solver():
         trusted = solve_persuasion_first(d, prefs).value
         v, _ = partition_search(d, prefs, k_max=3, grid_n=200)
         assert v <= trusted + 1e-6
+
+
+class TestGridBlocks:
+    # Linear-loss instances whose grids hold tied maxima: 26 cut pairs of
+    # uniform:-0.5,0.5 at grid 60 (one ulp above the best single cut), and
+    # the mirror pair sigma <-> 1 - sigma of criterion 7 at grid 11.
+    TIED_PRIOR = UniformInterval(-0.5, 0.5)
+    CRIT7 = ((0.7, 0.2), (0.0, 0.1, 0.5))
+
+    CALLS = [
+        ("partition-uniform", lambda: partition_search(U11, SQ, 3, 400)),
+        ("partition-tilt", lambda: partition_search(TILT, Exponential(3.0), 3, 211)),
+        ("partition-tied", lambda: partition_search(TestGridBlocks.TIED_PRIOR, LIN, 3, 60)),
+        ("signal-11", lambda: binary_signal_search_atoms(*TestGridBlocks.CRIT7, LIN, 11)),
+        ("signal-41", lambda: binary_signal_search_atoms(
+            (0.6566868118445405, 0.21994368105693546),
+            (0.0, 0.08091025011821684, 0.8025096748006849), Exponential(0.7369842105004265), 41)),
+        ("split-101", lambda: split_search(BinaryTypeEnv(0.25, 0.9, 0.15), SQ, 101)),
+        ("split-401", lambda: split_search(BinaryTypeEnv(0.1, 0.7, 5.0 / 12.0), Exponential(2.0), 401)),
+    ]
+
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 64])
+    def test_first_max_is_argmax_over_the_whole_grid(self, monkeypatch, block):
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        grid = np.array([[1.0, 3.0], [3.0, 2.0], [-np.inf, 3.0], [0.0, 0.0], [3.0, 1.0]])
+
+        def first_max(grid):
+            found = oracle._first_max(len(grid), lambda _: grid.shape[1], lambda r0, r1: grid[r0:r1])
+            return found and (found[0], found[1] * grid.shape[1] + found[2])
+
+        assert first_max(grid[:0]) is None
+        assert first_max(grid) == (3.0, 1) == (grid.max(), np.argmax(grid))
+        assert first_max(grid[2:]) == (3.0, 1)
+        assert first_max(np.full((3, 2), -np.inf)) == (-np.inf, 0)
+        # np.argmax takes the first NaN; so do the blocks.
+        grid[3, 1] = grid[4, 0] = np.nan
+        value, k = first_max(grid)
+        assert math.isnan(value) and k == np.argmax(grid) == 7
+
+    @pytest.mark.parametrize("block", [7, 97])
+    @pytest.mark.parametrize("name,call", CALLS, ids=[name for name, _ in CALLS])
+    def test_ragged_blocks_return_what_the_default_block_returns(self, monkeypatch, block, name, call):
+        expected = call()
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        assert call() == expected
+
+    @pytest.mark.parametrize("block", [7, 97, oracle._BLOCK])
+    def test_tied_grids_polish_from_their_first_maximum(self, monkeypatch, block):
+        # The whole-grid references: np.argmax over every cut pair i < j in
+        # np.triu_indices order, and over the sigma cube in np.indices order.
+        d, n = self.TIED_PRIOR, 60
+        xs = np.linspace(*d.support, n)
+        F = np.array([d.cdf(x) for x in xs])
+        T = np.array([d.upper_partial_mean(x) for x in xs])
+
+        def cell(i, j):
+            mass = F[j] - F[i]
+            mean = np.where(mass > 0.0, (T[i] - T[j]) / np.where(mass > 0, mass, 1.0), 0.0)
+            return np.where(mass > 0.0, mass * _indirect(mean, LIN), 0.0)
+
+        ii, jj = np.triu_indices(n - 2, k=1)
+        cuts = cell(0, ii + 1) + cell(ii + 1, jj + 1) + cell(jj + 1, n - 1)
+        k = int(np.argmax(cuts))
+        assert np.sum(cuts == cuts[k]) > 1
+        g = np.linspace(0.0, 1.0, 11)
+        sig = g[np.indices((11,) * 3).reshape(3, -1)]
+        total = _split_value_atoms([0.7, 0.2, 0.1], self.CRIT7[1], LIN, *sig)
+        s = int(np.argmax(total))
+        assert np.sum(total == total[s]) > 1
+
+        starts = []
+        polish = oracle._coordinate_polish
+        monkeypatch.setattr(oracle, "_coordinate_polish",
+                            lambda f, x, *rest, **kw: starts.append(list(x)) or polish(f, x, *rest, **kw))
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        partition_search(d, LIN, 3, n)
+        binary_signal_search_atoms(*self.CRIT7, LIN, 11)
+        assert starts == [[xs[ii[k] + 1], xs[jj[k] + 1]], [row[s] for row in sig]]
+
+    @pytest.mark.parametrize("call", [
+        lambda: partition_search(TILT, SQ, 3, 500),
+        lambda: binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, 101),
+        lambda: split_search(BinaryTypeEnv(0.25, 0.9, 0.15), SQ, 2001),
+    ], ids=["partition-500", "signal-101", "split-2001"])
+    def test_peak_traced_memory_stays_small(self, call):
+        # 2 MiB is over twice the largest blocked peak (0.83 MiB, the signal
+        # grid at 101, whose sigma_0 slabs hold 10,201 entries) and far under
+        # the 8.6-142 MiB these calls trace with each grid built as one array.
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 @given(
