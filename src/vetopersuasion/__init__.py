@@ -1,89 +1,44 @@
-"""Solvers for optimal proposals and information design in veto bargaining."""
+"""Solvers for optimal proposals and information design in veto bargaining.
 
-from .accept import (
-    BinaryTypeEnv,
-    best_acceptable_proposal,
-    phi_threshold,
-    psi_cap,
-)
-from .dist import (
-    ExponentialTilt,
-    FiniteAtoms,
-    TypeDistribution,
-    UniformInterval,
-    from_literal as dist_from_literal,
-    lr_tilt,
-)
-from .errors import (
-    AssumptionViolatedError,
-    DomainError,
-    FullMassBelowError,
-    NoRootError,
-    UnsupportedCombinationError,
-    VetoPersuasionError,
-)
-from .lsolve import (
-    BinarySolveOutcome,
-    ThreeTypeValues,
-    solve_persuasion_first_binary,
-    solve_proposal_first_binary,
-    three_type_values,
-    uhat,
-    utilde,
-)
-from .prefs import (
-    Exponential,
-    Linear,
-    Power,
-    ProposerPreferences,
-    from_literal as prefs_from_literal,
-)
-from .qsolve import (
-    Regime,
-    SolveOutcome,
-    indirect_u,
-    no_info_optimal,
-    solve_cutoff,
-    solve_persuasion_first,
-    solve_proposal_first,
-)
+Submodules load on first use: ``from vetopersuasion import solve_cutoff``
+imports ``qsolve`` and what it needs, and ``import vetopersuasion`` alone
+imports none of them.
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionViolatedError",
-    "BinarySolveOutcome",
-    "BinaryTypeEnv",
-    "DomainError",
-    "Exponential",
-    "ExponentialTilt",
-    "FiniteAtoms",
-    "FullMassBelowError",
-    "Linear",
-    "NoRootError",
-    "Power",
-    "ProposerPreferences",
-    "Regime",
-    "SolveOutcome",
-    "ThreeTypeValues",
-    "TypeDistribution",
-    "UniformInterval",
-    "UnsupportedCombinationError",
-    "VetoPersuasionError",
-    "best_acceptable_proposal",
-    "dist_from_literal",
-    "indirect_u",
-    "lr_tilt",
-    "no_info_optimal",
-    "phi_threshold",
-    "prefs_from_literal",
-    "psi_cap",
-    "solve_cutoff",
-    "solve_persuasion_first",
-    "solve_persuasion_first_binary",
-    "solve_proposal_first",
-    "solve_proposal_first_binary",
-    "three_type_values",
-    "uhat",
-    "utilde",
-]
+# Public name -> the submodule that defines it.
+_EXPORTS = {
+    **dict.fromkeys(["BinaryTypeEnv", "best_acceptable_proposal", "phi_threshold",
+                     "psi_cap"], "accept"),
+    **dict.fromkeys(["ExponentialTilt", "FiniteAtoms", "TypeDistribution", "UniformInterval",
+                     "dist_from_literal", "lr_tilt"], "dist"),
+    **dict.fromkeys(["AssumptionViolatedError", "DomainError", "FullMassBelowError",
+                     "NoRootError", "UnsupportedCombinationError", "VetoPersuasionError"],
+                    "errors"),
+    **dict.fromkeys(["BinarySolveOutcome", "ThreeTypeValues", "solve_persuasion_first_binary",
+                     "solve_proposal_first_binary", "three_type_values", "uhat", "utilde"],
+                    "lsolve"),
+    **dict.fromkeys(["Exponential", "Linear", "Power", "ProposerPreferences",
+                     "prefs_from_literal"], "prefs"),
+    **dict.fromkeys(["Regime", "SolveOutcome", "indirect_u", "no_info_optimal", "solve_cutoff",
+                     "solve_persuasion_first", "solve_proposal_first"], "qsolve"),
+}
+# Exported under another name than the submodule's.
+_RENAMED = {"dist_from_literal": "from_literal", "prefs_from_literal": "from_literal"}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), _RENAMED.get(name, name))
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

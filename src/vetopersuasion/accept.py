@@ -9,32 +9,33 @@ supports, where acceptance is a piecewise linear inequality in the proposal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
+from ._record import Record
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class BinaryTypeEnv:
+class BinaryTypeEnv(Record):
     """Two-point type environment for the linear-loss Vetoer.
 
     ell and h are the two possible bliss points (0 <= ell < h) and mu0 is
     the prior probability that the bliss point is h.
     """
 
-    ell: float
-    h: float
-    mu0: float
+    # psi_mu0 caches itself in __dict__, which is not a field.
+    __slots__ = ("ell", "h", "mu0", "__dict__")
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(x) for x in (self.ell, self.h, self.mu0)):
+    def __init__(self, ell: float, h: float, mu0: float) -> None:
+        object.__setattr__(self, "ell", ell)
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "mu0", mu0)
+        if not all(math.isfinite(x) for x in (ell, h, mu0)):
             raise DomainError(f"parameters must be finite, got {self}")
-        if not 0.0 <= self.ell < self.h:
-            raise DomainError(f"need 0 <= ell < h, got ell={self.ell}, h={self.h}")
-        if not 0.0 <= self.mu0 <= 1.0:
-            raise DomainError(f"mu0 must be a probability, got {self.mu0}")
+        if not 0.0 <= ell < h:
+            raise DomainError(f"need 0 <= ell < h, got ell={ell}, h={h}")
+        if not 0.0 <= mu0 <= 1.0:
+            raise DomainError(f"mu0 must be a probability, got {mu0}")
 
     @property
     def p_bar(self) -> float:

@@ -1,8 +1,9 @@
 """Command-line interface: solve instances, run sweeps, emit figure data,
 and run oracle cross-checks.
 
-Only ``vps oracle`` needs numpy: it imports the oracles when it runs, so
-every other subcommand starts without loading numpy.
+Each command imports the solver modules it runs, and ``json`` and ``csv``
+when it writes them, so a cold ``vps`` loads only what its subcommand
+needs.  Only ``vps oracle`` needs numpy, for the oracles.
 
 Exit codes: 0 on success, 2 on input errors, 3 when a cross-check fails.
 """
@@ -10,19 +11,16 @@ Exit codes: 0 on success, 2 on input errors, 3 when a cross-check fails.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from . import closedform, lsolve, qsolve
-from ._numeric import linspace
-from .accept import BinaryTypeEnv
-from .dist import FiniteAtoms, TypeDistribution, UniformInterval, from_literal, lr_tilt
 from .errors import DomainError, VetoPersuasionError
-from .prefs import Exponential, Linear, Power
-from .prefs import from_literal as prefs_from_literal
+
+if TYPE_CHECKING:
+    from .accept import BinaryTypeEnv
+    from .dist import FiniteAtoms, TypeDistribution
+    from .prefs import ProposerPreferences
 
 _FMT = "%.12g"
 
@@ -41,6 +39,8 @@ def _write(text: str, out: Optional[str]) -> None:
 
 
 def _write_csv(rows: List[Sequence], header: Sequence[str], out: Optional[str]) -> None:
+    import csv
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
@@ -51,6 +51,8 @@ def _write_csv(rows: List[Sequence], header: Sequence[str], out: Optional[str]) 
 
 def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
     if as_json:
+        import json
+
         text = json.dumps(report, sort_keys=True) + "\n"
     else:
         text = "".join(f"{k}: {v}\n" for k, v in report.items())
@@ -58,6 +60,9 @@ def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
 
 
 def _binary_env(d: TypeDistribution | FiniteAtoms) -> BinaryTypeEnv:
+    from .accept import BinaryTypeEnv
+    from .dist import FiniteAtoms
+
     if not isinstance(d, FiniteAtoms) or len(d.points) != 2:
         raise VetoPersuasionError("linear2 takes exactly two atoms: atoms:l:p,h:q")
     (ell, _), (h, mu0) = d.points
@@ -65,6 +70,8 @@ def _binary_env(d: TypeDistribution | FiniteAtoms) -> BinaryTypeEnv:
 
 
 def _three_prior(d: TypeDistribution | FiniteAtoms) -> Tuple[Tuple[float, float], Tuple[float, float, float]]:
+    from .dist import FiniteAtoms
+
     if not isinstance(d, FiniteAtoms) or len(d.points) != 3:
         raise VetoPersuasionError("linear3 takes exactly three atoms")
     (t0, w0), (t1, w1), (t2, _) = d.points
@@ -73,10 +80,18 @@ def _three_prior(d: TypeDistribution | FiniteAtoms) -> Tuple[Tuple[float, float]
     return (w0, w1), (t0, t1, t2)
 
 
+def _parse_instance(args: argparse.Namespace) -> Tuple[TypeDistribution | FiniteAtoms, ProposerPreferences]:
+    from .dist import from_literal
+    from .prefs import from_literal as prefs_from_literal
+
+    return from_literal(args.dist), prefs_from_literal(args.loss)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
-    d = from_literal(args.dist)
-    prefs = prefs_from_literal(args.loss)
+    d, prefs = _parse_instance(args)
     if args.model == "quad":
+        from . import qsolve
+
         solve = (
             qsolve.solve_persuasion_first
             if args.timing == "persuasion-first"
@@ -91,6 +106,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
             "veto_prob": r.veto_prob,
         }
     elif args.model == "linear2":
+        from . import lsolve
+
         env = _binary_env(d)
         if args.timing == "persuasion-first":
             r = lsolve.solve_persuasion_first_binary(env, prefs)
@@ -112,6 +129,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 "veto_prob": veto,
             }
     else:  # linear3
+        from . import lsolve
+
         prior, levels = _three_prior(d)
         r = lsolve.three_type_values(prior, levels, prefs)
         report = {
@@ -127,46 +146,50 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cutoff_row(param: float, d: TypeDistribution, prefs=Power(2.0)) -> Tuple:
-    """(param, s_star, s_upper, F(s_star), value, has_cutoff).  Without a
-    cutoff (no information, ideal accepted) both posterior means are the
-    prior mean."""
-    r = qsolve.solve_persuasion_first(d, prefs)
+def _sweep_row(kind: str, x: float) -> Tuple:
+    """(x, s_star, s_upper, F(s_star), value, has_cutoff) at parameter x.
+    Without a cutoff (no information, ideal accepted) both posterior means
+    are the prior mean."""
+    from .dist import UniformInterval, lr_tilt
+    from .prefs import Exponential, Power
+    from .qsolve import solve_persuasion_first
+
+    if kind == "risk-aversion":
+        d, prefs = UniformInterval(-1.0, 1.0), Exponential(x)
+    elif kind == "tilt":
+        # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
+        # default rows stay in the cutoff regime and the columns are comparable.
+        base = UniformInterval(-1.0, 0.8)
+        d, prefs = (lr_tilt(base, x) if x != 0.0 else base), Power(2.0)
+    else:  # theta-hi
+        d, prefs = UniformInterval(-1.0, x), Power(2.0)
+    r = solve_persuasion_first(d, prefs)
     s = r.s_star if r.s_star is not None else d.mean()
     up = r.s_upper if r.s_upper is not None else d.mean()
-    return param, s, up, d.cdf(s), r.value, r.s_star is not None
+    return x, s, up, d.cdf(s), r.value, r.s_star is not None
 
 
-def _sweep_tilt_row(lam: float) -> Tuple:
-    # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
-    # default rows stay in the cutoff regime and the columns are comparable.
-    base = UniformInterval(-1.0, 0.8)
-    return _cutoff_row(lam, lr_tilt(base, lam) if lam != 0.0 else base)
-
-
-def _sweep_hi_row(hi: float) -> Tuple:
-    return _cutoff_row(hi, UniformInterval(-1.0, hi))
-
-
-def _sweep_risk_row(alpha: float) -> Tuple:
-    return _cutoff_row(alpha, UniformInterval(-1.0, 1.0), Exponential(alpha))
-
-
+# Sweep kind -> default grid (theta-hi's, ten points on [0.55, 1], is built
+# when it runs) and the directions in which s_star and s_upper move on it.
 _SWEEPS = {
-    "risk-aversion": (_sweep_risk_row, [0.5, 1.0, 2.0, 4.0], ("<=", "<=")),
-    "tilt": (_sweep_tilt_row, [0.0, 0.5, 1.0, 2.0], ("<=", ">=")),
-    "theta-hi": (_sweep_hi_row, linspace(0.55, 1.0, 10), ("<=", ">=")),
+    "risk-aversion": ([0.5, 1.0, 2.0, 4.0], ("<=", "<=")),
+    "tilt": ([0.0, 0.5, 1.0, 2.0], ("<=", ">=")),
+    "theta-hi": (None, ("<=", ">=")),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    worker, grid, (dir_s, dir_up) = _SWEEPS[args.kind]
+    grid, (dir_s, dir_up) = _SWEEPS[args.kind]
     if args.values:
         try:
             grid = [float(v) for v in args.values.split(",")]
         except ValueError as exc:
             raise DomainError(f"--values takes numbers, got {args.values!r}") from exc
-    rows = [worker(g) for g in grid]
+    elif grid is None:
+        from ._numeric import linspace
+
+        grid = linspace(0.55, 1.0, 10)
+    rows = [_sweep_row(args.kind, x) for x in grid]
 
     def ok(prev: float, cur: float, sense: str) -> bool:
         return cur <= prev + 1e-9 if sense == "<=" else cur >= prev - 1e-9
@@ -188,6 +211,17 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:
+    from ._numeric import linspace
+
+    if fig in (1, 3):
+        from . import closedform
+    elif fig == 2:
+        from . import qsolve
+        from .prefs import Power
+    else:  # figures 4-6
+        from . import lsolve
+        from .accept import BinaryTypeEnv
+        from .prefs import Linear
     if fig == 1:
         lo = linspace(-2.0, -0.01, n)
         return (
@@ -243,10 +277,9 @@ def cmd_figure(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from . import oracle  # numpy-backed: imported only by the command that needs it
+    from . import lsolve, oracle, qsolve
 
-    d = from_literal(args.dist)
-    prefs = prefs_from_literal(args.loss)
+    d, prefs = _parse_instance(args)
     scale = max(1.0, prefs.loss(1.0))  # payoff gaps count in units of max(1, c(1))
     tol = (args.tol if args.tol is not None else 1e-6) * scale
     checks: List[Tuple[str, bool, str]] = []
@@ -305,8 +338,15 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
     if not getattr(args, "config", None):
         return
+    import json
+
     with open(args.config) as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DomainError(str(exc)) from exc
+    if not isinstance(cfg, dict):
+        raise DomainError(f"config file must hold a JSON object, got {type(cfg).__name__}")
     command = next(a for a in parser._actions if a.dest == "command")
     actions = {a.dest: a for a in command.choices[args.command]._actions}
     for key, val in cfg.items():
@@ -384,7 +424,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, "grid", None) is not None and not 2 <= args.grid <= 100_001:
             raise DomainError(f"--grid takes an integer from 2 to 100001, got {args.grid!r}")
         return args.fn(args)
-    except (VetoPersuasionError, OSError, json.JSONDecodeError) as exc:
+    except (VetoPersuasionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

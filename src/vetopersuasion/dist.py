@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from typing import Tuple
 
+from ._record import Record
 from .errors import DomainError, FullMassBelowError
 
 # A conditioning event with mass below this is treated as empty.
@@ -24,6 +24,8 @@ _MASS_EPS = 1e-12
 
 class TypeDistribution(ABC):
     """Belief over the Vetoer's bliss point theta."""
+
+    __slots__ = ()
 
     @property
     @abstractmethod
@@ -53,18 +55,21 @@ class TypeDistribution(ABC):
         _MASS_EPS of mass lies at or above s."""
 
 
-@dataclass(frozen=True)
-class UniformInterval(TypeDistribution):
-    lo: float
-    hi: float
+class UniformInterval(TypeDistribution, Record):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise DomainError(f"support bounds must be finite, got [{self.lo}, {self.hi}]")
-        if not self.lo < self.hi:
-            raise DomainError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-        if not self.hi > 0.0:
+    def __init__(self, lo: float, hi: float) -> None:
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise DomainError(f"support bounds must be finite, got [{lo}, {hi}]")
+        if not lo < hi:
+            raise DomainError(f"need lo < hi, got [{lo}, {hi}]")
+        if not hi > 0.0:
             raise DomainError("upper support bound must be positive")
+        # Every query divides by the width; past the float range it reads inf.
+        if not math.isfinite(hi - lo):
+            raise DomainError(f"support width must be finite, got [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -100,16 +105,15 @@ class UniformInterval(TypeDistribution):
         return 0.5 * (a + self.hi)
 
 
-@dataclass(frozen=True)
-class FiniteAtoms:
+class FiniteAtoms(Record):
     """Atoms as ((theta_1, p_1), ...), strictly increasing in theta: a
     validated literal that the linear-loss solvers read through ``points``.
     Not a TypeDistribution; the quadratic-loss solvers reject it."""
 
-    points: Tuple[Tuple[float, float], ...]
+    __slots__ = ("points",)
 
-    def __post_init__(self) -> None:
-        pts = tuple((float(t), float(p)) for t, p in self.points)
+    def __init__(self, points: Tuple[Tuple[float, float], ...]) -> None:
+        pts = tuple((float(t), float(p)) for t, p in points)
         object.__setattr__(self, "points", pts)
         if not pts:
             raise DomainError("need at least one atom")
@@ -144,20 +148,20 @@ def _tilt_mean_share(u: float) -> float:
     return 1.0 / -math.expm1(-u) - 1.0 / u
 
 
-@dataclass(frozen=True)
-class ExponentialTilt(TypeDistribution):
+class ExponentialTilt(TypeDistribution, Record):
     """Density proportional to f(theta) * exp(lam * theta), renormalized."""
 
-    base: UniformInterval
-    lam: float
+    __slots__ = ("base", "lam")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.base, UniformInterval):
+    def __init__(self, base: UniformInterval, lam: float) -> None:
+        if not isinstance(base, UniformInterval):
             raise DomainError(
                 "tilt base must be a UniformInterval; tilt atoms by reweighting"
             )
-        if not math.isfinite(self.lam):
-            raise DomainError(f"tilt parameter must be finite, got {self.lam}")
+        if not math.isfinite(lam):
+            raise DomainError(f"tilt parameter must be finite, got {lam}")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def support(self) -> Tuple[float, float]:

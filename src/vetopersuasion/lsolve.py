@@ -16,10 +16,10 @@ polish) searches the tripwire grid and both families.  Pure stdlib
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ._numeric import golden_max, grid_max, linspace
+from ._record import Record
 from .accept import (
     BinaryTypeEnv,
     best_acceptable_proposal,
@@ -32,11 +32,15 @@ from .prefs import ProposerPreferences
 _GOLDEN_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class BinarySolveOutcome:
-    value: float
-    posteriors: Tuple[Tuple[float, float, float], ...]  # (mu, weight, proposal)
-    regime: str  # "NoInfo" | "Split"
+class BinarySolveOutcome(Record):
+    # posteriors holds (mu, weight, proposal) triples; regime is "NoInfo" or "Split".
+    __slots__ = ("value", "posteriors", "regime")
+
+    def __init__(self, value: float, posteriors: Tuple[Tuple[float, float, float], ...],
+                 regime: str) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "posteriors", posteriors)
+        object.__setattr__(self, "regime", regime)
 
 
 def uhat(env: BinaryTypeEnv, prefs: ProposerPreferences, mu: float) -> float:
@@ -141,14 +145,20 @@ def solve_proposal_first_binary(
     return p_opt, value, experiment
 
 
-@dataclass(frozen=True)
-class ThreeTypeValues:
-    v_noinfo: float
-    v_fullinfo: float
-    v_bestbinary: float
-    sigma_star: Tuple[float, float, float]
-    branch: str  # "reveal-low" (sigma on type 0) or "reveal-mid" (sigma on ell)
-    branch_values: Tuple[float, float]
+class ThreeTypeValues(Record):
+    # branch is "reveal-low" (sigma on type 0) or "reveal-mid" (sigma on ell).
+    __slots__ = ("v_noinfo", "v_fullinfo", "v_bestbinary", "sigma_star", "branch",
+                 "branch_values")
+
+    def __init__(self, v_noinfo: float, v_fullinfo: float, v_bestbinary: float,
+                 sigma_star: Tuple[float, float, float], branch: str,
+                 branch_values: Tuple[float, float]) -> None:
+        object.__setattr__(self, "v_noinfo", v_noinfo)
+        object.__setattr__(self, "v_fullinfo", v_fullinfo)
+        object.__setattr__(self, "v_bestbinary", v_bestbinary)
+        object.__setattr__(self, "sigma_star", sigma_star)
+        object.__setattr__(self, "branch", branch)
+        object.__setattr__(self, "branch_values", branch_values)
 
 
 def three_type_values(

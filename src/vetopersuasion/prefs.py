@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import DomainError
 
 
 class ProposerPreferences(ABC):
     """Convex loss c over |1 - a| and the induced utility u(a) = -c(1-a)."""
+
+    __slots__ = ()
 
     @abstractmethod
     def _loss(self, x: float) -> float:
@@ -70,8 +72,9 @@ class ProposerPreferences(ABC):
         return self._loss_deriv(1.0 - a)
 
 
-@dataclass(frozen=True)
-class Linear(ProposerPreferences):
+class Linear(ProposerPreferences, Record):
+    __slots__ = ()
+
     def _loss(self, x: float) -> float:
         return x
 
@@ -79,13 +82,13 @@ class Linear(ProposerPreferences):
         return 1.0
 
 
-@dataclass(frozen=True)
-class Power(ProposerPreferences):
-    gamma: float
+class Power(ProposerPreferences, Record):
+    __slots__ = ("gamma",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.gamma) or self.gamma < 1.0:
-            raise DomainError(f"power loss needs a finite gamma >= 1, got {self.gamma}")
+    def __init__(self, gamma: float) -> None:
+        if not math.isfinite(gamma) or gamma < 1.0:
+            raise DomainError(f"power loss needs a finite gamma >= 1, got {gamma}")
+        object.__setattr__(self, "gamma", gamma)
 
     def _loss(self, x: float) -> float:
         return x ** self.gamma
@@ -97,13 +100,13 @@ class Power(ProposerPreferences):
         return self.gamma * x ** (self.gamma - 1.0)
 
 
-@dataclass(frozen=True)
-class Exponential(ProposerPreferences):
-    alpha: float
+class Exponential(ProposerPreferences, Record):
+    __slots__ = ("alpha",)
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.alpha) or self.alpha <= 0.0:
-            raise DomainError(f"CARA coefficient must be finite and > 0, got {self.alpha}")
+    def __init__(self, alpha: float) -> None:
+        if not math.isfinite(alpha) or alpha <= 0.0:
+            raise DomainError(f"CARA coefficient must be finite and > 0, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
         # The models evaluate the loss on [0, 1] only; it must stay finite there.
         try:
             finite = math.isfinite(self._loss(1.0)) and math.isfinite(self._loss_deriv(1.0))

@@ -19,11 +19,11 @@ the test suite enforces.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Tuple
 
 from ._numeric import bisect_rising, brentq, grid_max, linspace
+from ._record import Record
 from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
 from .errors import (
     AssumptionViolatedError, FullMassBelowError, NoRootError, UnsupportedCombinationError,
@@ -40,14 +40,17 @@ class Regime(Enum):
     STATUS_QUO_ONLY = "StatusQuoOnly"
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
-    regime: Regime
-    s_star: Optional[float]
-    s_upper: Optional[float]
-    proposal: float
-    value: float
-    veto_prob: float
+class SolveOutcome(Record):
+    __slots__ = ("regime", "s_star", "s_upper", "proposal", "value", "veto_prob")
+
+    def __init__(self, regime: Regime, s_star: Optional[float], s_upper: Optional[float],
+                 proposal: float, value: float, veto_prob: float) -> None:
+        object.__setattr__(self, "regime", regime)
+        object.__setattr__(self, "s_star", s_star)
+        object.__setattr__(self, "s_upper", s_upper)
+        object.__setattr__(self, "proposal", proposal)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "veto_prob", veto_prob)
 
 
 def indirect_u(s: float, prefs: ProposerPreferences) -> float:

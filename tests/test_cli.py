@@ -81,6 +81,11 @@ def test_bad_input_exit_code(capsys):
         # A grid of 1e9 points would need 8 GB or more: refused before any is built.
         ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1000000000"),
         ("figure", "1", "--grid", "1000000000"),
+        # Finite bounds whose width hi - lo overflows to inf.
+        ("solve", "quad", "persuasion-first", "uniform:-1e308,1e308", "linear"),
+        ("solve", "quad", "proposal-first", "uniform:-1e308,1e308", "linear"),
+        ("solve", "quad", "persuasion-first", "uniform:-1.7e308,1e308", "linear"),
+        ("solve", "quad", "proposal-first", "uniform:-1.7e308,1e308", "linear"),
     ],
 )
 def test_bad_numeric_option_exit_code(capsys, argv):
@@ -287,6 +292,9 @@ def test_config_flag_precedence(capsys, tmp_path):
         ({"values": 5}, ("sweep", "tilt")),
         ({"tol": "x"}, ("oracle", "quad", "uniform:-1,1", "power:2")),
         ({"json": "no"}, ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
+        # A config that is not a JSON object.
+        ([1, 2], ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
+        ("x", ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
     ],
 )
 def test_config_bad_value_exit_code(capsys, tmp_path, cfg, argv):

@@ -66,6 +66,8 @@ class TestUniform:
             UniformInterval(1.0, -1.0)
         with pytest.raises(DomainError):
             UniformInterval(-2.0, 0.0)  # upper bound must be positive
+        with pytest.raises(DomainError, match="width must be finite"):
+            UniformInterval(-1e308, 1e308)  # finite bounds, but hi - lo is inf
 
     def test_no_mass_above_upper_end(self):
         d = UniformInterval(-1.0, 1.0)

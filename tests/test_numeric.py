@@ -164,6 +164,33 @@ def test_import_loads_no_numpy(module):
     assert _run_python(code).stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["vetopersuasion", "vetopersuasion.cli"])
+def test_import_loads_no_dataclasses_or_inspect(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    assert _run_python(code).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
+@pytest.mark.parametrize(
+    "model, dist, absent",
+    [
+        ("quad", "uniform:-1,1", ["lsolve", "accept", "closedform", "oracle"]),
+        ("linear2", "atoms:0.1:.8,0.7:.2", ["qsolve", "closedform", "oracle"]),
+    ],
+    ids=["quad", "linear2"],
+)
+def test_solve_loads_only_its_solver(model, timing, dist, absent):
+    code = (
+        "import contextlib, io, sys\n"
+        "from vetopersuasion.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['solve', {model!r}, {timing!r}, {dist!r}, 'linear'])\n"
+        f"print(code, *(m for m in {absent!r} if 'vetopersuasion.' + m in sys.modules))\n"
+    )
+    assert _run_python(code).stdout.split() == ["0"]
+
+
 # Every subcommand but oracle, with numpy made unimportable.
 NUMPY_FREE_COMMANDS = [
     *(["solve", "quad", t, "uniform:-1,1", "power:2"]
