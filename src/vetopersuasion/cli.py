@@ -340,11 +340,11 @@ def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
         return
     import json
 
-    with open(args.config) as fh:
+    with open(args.config, encoding="utf-8") as fh:
         try:
             cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DomainError(str(exc)) from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # not JSON, or not UTF-8
+            raise DomainError(f"bad config file {args.config!r}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise DomainError(f"config file must hold a JSON object, got {type(cfg).__name__}")
     command = next(a for a in parser._actions if a.dest == "command")

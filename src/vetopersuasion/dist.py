@@ -7,6 +7,8 @@ queried.  All values are immutable after construction and safe to share
 across workers.
 
 Every query is exact algebra: tilted densities have closed-form integrals.
+``cdf`` and ``upper_partial_mean`` also take a numpy array and answer
+elementwise, by the formula a float takes; numpy is imported only then.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class TypeDistribution(ABC):
 
     @abstractmethod
     def cdf(self, x: float) -> float:
-        ...
+        """P(theta <= x); elementwise on a numpy array."""
 
     @abstractmethod
     def mean(self) -> float:
@@ -42,7 +44,8 @@ class TypeDistribution(ABC):
 
     @abstractmethod
     def upper_partial_mean(self, s: float) -> float:
-        """Integral of theta over the event {theta >= s}."""
+        """Integral of theta over the event {theta >= s}; elementwise on a
+        numpy array."""
 
     @abstractmethod
     def mass_above(self, s: float) -> float:
@@ -76,6 +79,12 @@ class UniformInterval(TypeDistribution, Record):
         return (self.lo, self.hi)
 
     def cdf(self, x: float) -> float:
+        if not isinstance(x, float) and not isinstance(x, int):
+            import numpy as np
+
+            # Clipped, so x - lo cannot overflow, and x >= hi reads (hi - lo) / (hi - lo) = 1.
+            inner = np.minimum(np.maximum(x, self.lo), self.hi)
+            return np.where(x <= self.lo, 0.0, (inner - self.lo) / (self.hi - self.lo))
         if x <= self.lo:
             return 0.0
         if x >= self.hi:
@@ -86,6 +95,13 @@ class UniformInterval(TypeDistribution, Record):
         return 0.5 * (self.lo + self.hi)
 
     def upper_partial_mean(self, s: float) -> float:
+        if not isinstance(s, float) and not isinstance(s, int):
+            import numpy as np
+
+            a = np.minimum(np.maximum(s, self.lo), self.hi)
+            with np.errstate(over="ignore", invalid="ignore"):  # silent, as on floats
+                upper = 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
+            return np.where(a >= self.hi, 0.0, upper)
         a = max(s, self.lo)
         if a >= self.hi:
             return 0.0
@@ -148,6 +164,19 @@ def _tilt_mean_share(u: float) -> float:
     return 1.0 / -math.expm1(-u) - 1.0 / u
 
 
+def _tilt_mean_share_array(u):
+    """_tilt_mean_share elementwise on a numpy array, each element by the
+    branch a float takes (np.polyval runs the series loop's Horner steps)."""
+    import numpy as np
+
+    # Each form is fed 0 or 1 where the other serves, so neither overflows.
+    small = np.abs(u) < _SERIES_U
+    us, w = np.where(small, u, 0.0), np.where(small, 1.0, np.abs(u))
+    direct = 1.0 / -np.expm1(-w) - 1.0 / w
+    return np.where(small, 0.5 + us * np.polyval(_SERIES, us * us),
+                    np.where(u < 0.0, 1.0 - direct, direct))
+
+
 class ExponentialTilt(TypeDistribution, Record):
     """Density proportional to f(theta) * exp(lam * theta), renormalized."""
 
@@ -167,14 +196,15 @@ class ExponentialTilt(TypeDistribution, Record):
     def support(self) -> Tuple[float, float]:
         return self.base.support
 
-    def _share(self, x: float, y: float) -> float:
-        """P(x <= theta <= y) for lo <= x <= y <= hi; each exponent is -|lam| * distance."""
+    def _share(self, x: float, y: float, m=math) -> float:
+        """P(x <= theta <= y) for lo <= x <= y <= hi; each exponent is -|lam| *
+        distance.  m is math, or numpy for array ends."""
         lo, hi = self.support
         if abs(self.lam) * (hi - lo) < 1e-17:  # flat in double; expm1 would go subnormal
             return (y - x) / (hi - lo)
         k = -abs(self.lam)
         gap = hi - y if self.lam > 0.0 else x - lo
-        return math.exp(k * gap) * math.expm1(k * (y - x)) / math.expm1(k * (hi - lo))
+        return m.exp(k * gap) * m.expm1(k * (y - x)) / m.expm1(k * (hi - lo))
 
     def _mean_from(self, a: float) -> float:
         """E[theta | theta >= a] for lo <= a <= hi."""
@@ -183,6 +213,11 @@ class ExponentialTilt(TypeDistribution, Record):
 
     def cdf(self, x: float) -> float:
         lo, hi = self.support
+        if not isinstance(x, float) and not isinstance(x, int):
+            import numpy as np
+
+            with np.errstate(over="ignore"):  # a huge lam's exponents: -inf, as on floats
+                return self._share(lo, np.minimum(np.maximum(x, lo), hi), np)
         return self._share(lo, min(max(x, lo), hi))
 
     def mean(self) -> float:
@@ -190,6 +225,13 @@ class ExponentialTilt(TypeDistribution, Record):
 
     def upper_partial_mean(self, s: float) -> float:
         lo, hi = self.support
+        if not isinstance(s, float) and not isinstance(s, int):
+            import numpy as np
+
+            a = np.minimum(np.maximum(s, lo), hi)
+            with np.errstate(over="ignore"):  # a huge lam's exponents: -inf, as on floats
+                mean = a + (hi - a) * _tilt_mean_share_array(self.lam * (hi - a))  # _mean_from
+                return self._share(a, hi, np) * mean
         a = min(max(s, lo), hi)
         return self._share(a, hi) * self._mean_from(a)
 
@@ -223,6 +265,12 @@ def lr_tilt(d: TypeDistribution | FiniteAtoms, lam: float) -> TypeDistribution |
     return ExponentialTilt(d, lam)
 
 
+def _bad_literal(kind: str, text: str, exc: ValueError) -> str:
+    # A constructor's DomainError names the reason; a parse error adds nothing.
+    reason = f": {exc}" if isinstance(exc, DomainError) else ""
+    return f"bad {kind} literal {text!r}{reason}"
+
+
 def from_literal(text: str) -> TypeDistribution | FiniteAtoms:
     """Parse a CLI/config distribution literal.
 
@@ -239,7 +287,7 @@ def from_literal(text: str) -> TypeDistribution | FiniteAtoms:
             lo_s, hi_s = body.split(",")
             return UniformInterval(float(lo_s), float(hi_s))
         except ValueError as exc:
-            raise DomainError(f"bad uniform literal {text!r}") from exc
+            raise DomainError(_bad_literal("uniform", text, exc)) from exc
     if text.startswith("atoms:"):
         body = text[len("atoms:"):]
         try:
@@ -249,7 +297,7 @@ def from_literal(text: str) -> TypeDistribution | FiniteAtoms:
                 pts.append((float(t_s), float(p_s)))
             return FiniteAtoms(tuple(pts))
         except ValueError as exc:
-            raise DomainError(f"bad atoms literal {text!r}") from exc
+            raise DomainError(_bad_literal("atoms", text, exc)) from exc
     if text.startswith("tilt:"):
         body = text[len("tilt:"):]
         base_s, _, lam_s = body.rpartition(";")

@@ -5,9 +5,10 @@ solvers: payoffs are recomputed from the loss primitives, the binary
 persuasion-first value is the best split of the prior over every pair of
 grid beliefs instead of a tangency, and optima are located by exhaustive
 grids with a golden-section polish.  The grids are vectorised over the loss
-primitives (``ProposerPreferences.loss_array``) and evaluated in blocks of
-rows, at most _BLOCK entries each, so that no float64 temporary outgrows
-glibc's default mmap threshold (see _BLOCK).  The linear-loss checks
+primitives (``ProposerPreferences.loss_array``) and over the prior (``cdf``
+and ``upper_partial_mean`` on arrays), and evaluated in blocks of rows, at
+most _BLOCK entries each, so that no float64 temporary outgrows glibc's
+default mmap threshold (see _BLOCK).  The linear-loss checks
 derive acceptance from the Vetoer's absolute loss rather than from
 ``accept``: one closed form, ``_three_type_root``, serves the two-type split
 grid and the three-type grid and polish.  So the oracles share no model
@@ -70,36 +71,71 @@ def _first_max(n_rows: int, width: Callable[[int], int], rows):
 
 
 def _coordinate_polish(
-    f: Callable[[List[float]], float], x: List[float], best: float,
-    step: float, lo: float, hi: float, rounds: int,
+    line: Callable[[List[float], int], Callable[[float], float]], x: List[float],
+    best: float, step: float, lo: float, hi: float, rounds: int,
 ) -> Tuple[float, List[float]]:
     """Polish a grid winner x, worth best, one coordinate at a time: each
     round runs golden_max on each x_i over [x_i - step, x_i + step] within
-    [lo, hi], and keeps a strictly better move.  Returns (best, x)."""
+    [lo, hi], and keeps a strictly better move.  line(x, i) is the objective
+    as a function of x_i alone, the other coordinates held at x's.
+    Returns (best, x)."""
     for _ in range(rounds):
         for i in range(len(x)):
-            c, v = golden_max(lambda t: f([*x[:i], t, *x[i + 1:]]),
-                              max(lo, x[i] - step), min(hi, x[i] + step), _REFINE_TOL)
+            c, v = golden_max(line(x, i), max(lo, x[i] - step), min(hi, x[i] + step), _REFINE_TOL)
             if v > best:
                 x[i], best = c, v
     return best, x
 
 
+def _along(f: Callable[[List[float]], float]):
+    """The line of _coordinate_polish for an objective f of the whole point."""
+    return lambda x, i: lambda t: f([*x[:i], t, *x[i + 1:]])
+
+
+def _cells_value(
+    ends: Sequence[Tuple[float, float, float]], prefs: ProposerPreferences
+) -> float:
+    """Value of the interval partition with the edges ends, ascending triples
+    (x, cdf(x), upper_partial_mean(x)): the sum over its nonempty cells, left
+    to right, of mass times the indirect utility at the cell's mean."""
+    total = 0.0
+    for (_, f_a, t_a), (_, f_b, t_b) in zip(ends, ends[1:]):
+        mass = f_b - f_a
+        if mass > 0.0:
+            total += mass * _indirect((t_a - t_b) / mass, prefs)
+    return total
+
+
 def _partition_value(
     d: TypeDistribution, prefs: ProposerPreferences, cuts: Sequence[float]
 ) -> float:
-    lo, hi = d.support
-    edges = [lo, *sorted(cuts), hi]
-    F = [d.cdf(x) for x in edges]
-    T = [d.upper_partial_mean(x) for x in edges]
-    total = 0.0
-    for i in range(len(edges) - 1):
-        mass = F[i + 1] - F[i]
-        if mass <= 0.0:
-            continue
-        mean = (T[i] - T[i + 1]) / mass
-        total += mass * _indirect(mean, prefs)
-    return total
+    return _cells_value([_edge(d, x) for x in [d.support[0], *sorted(cuts), d.support[1]]], prefs)
+
+
+def _edge(d: TypeDistribution, x: float) -> Tuple[float, float, float]:
+    return x, d.cdf(x), d.upper_partial_mean(x)
+
+
+def _cell_values(f_a, t_a, f_b, t_b, prefs: ProposerPreferences):
+    """Values of the cells [a, b], elementwise over broadcast ends given by
+    their cdf and upper_partial_mean: mass times the indirect utility at the
+    cell's mean, and 0 for an empty cell.  Every step after the mass works in
+    place on one array; the steps and their order are _indirect's, so the
+    values are those of the out-of-place formula bit for bit.  An empty
+    cell's entry carries t_a - t_b, clipped, through the loss, and is then
+    set to 0."""
+    mass = f_b - f_a
+    nonempty = mass > 0.0
+    u = np.subtract(t_a, t_b)
+    np.divide(u, mass, out=u, where=nonempty)  # the mean
+    np.clip(u, 0.0, 0.5, out=u)
+    np.multiply(u, 2.0, out=u)
+    np.subtract(1.0, u, out=u)
+    u = prefs.loss_array(u)
+    np.negative(u, out=u)
+    np.multiply(mass, u, out=u)
+    u[np.logical_not(nonempty, out=nonempty)] = 0.0
+    return u
 
 
 def partition_search(
@@ -111,7 +147,8 @@ def partition_search(
     """Best interval-partition experiment with at most k_max cells.
 
     Exhausts cutoff tuples drawn from a uniform grid over the support, then
-    polishes each cutoff of the winner by golden-section search.
+    polishes each cutoff of the winner by golden-section search.  A polish
+    trial reads the prior only at the cut that moves.
     """
     if k_max not in (1, 2, 3):
         raise DomainError(f"k_max must be 1, 2 or 3, got {k_max}")
@@ -119,23 +156,17 @@ def partition_search(
         raise DomainError(f"grid_n capped at 500, got {grid_n}")
     lo, hi = d.support
     xs = np.linspace(lo, hi, grid_n)
-    F = np.array([d.cdf(x) for x in xs])
-    T = np.array([d.upper_partial_mean(x) for x in xs])
+    F, T = d.cdf(xs), d.upper_partial_mean(xs)
     Fin, Tin = F[1:-1], T[1:-1]  # at the inner points, the candidate cuts
 
-    def cell_u(f_a, t_a, f_b, t_b):
-        # Value of the cells [a, b], elementwise over broadcast ends.
-        mass = f_b - f_a
-        mean = np.where(mass > 0.0, (t_a - t_b) / np.where(mass > 0, mass, 1.0), 0.0)
-        return np.where(mass > 0.0, mass * _indirect(mean, prefs), 0.0)
-
-    best_val = _partition_value(d, prefs, [])
+    rim = [_edge(d, lo), _edge(d, hi)]
+    best_val = _cells_value(rim, prefs)
     best_cuts: Tuple[float, ...] = ()
 
     if k_max >= 2:
         # Values of the cells [lo, xs[i]] and [xs[i], hi], one per inner point.
-        low = cell_u(F[0], T[0], Fin, Tin)
-        top = cell_u(Fin, Tin, F[-1], T[-1])
+        low = _cell_values(F[0], T[0], Fin, Tin, prefs)
+        top = _cell_values(Fin, Tin, F[-1], T[-1], prefs)
         vals = low + top
         if vals.size:  # grid_n = 2 has no inner point
             k = int(np.argmax(vals))
@@ -148,8 +179,11 @@ def partition_search(
         def pairs(i0, i1):
             # Inner cut pairs i < j, rows i0:i1 from column i0 + 1 on.
             i, j = slice(i0, i1), slice(i0 + 1, m)
-            vals = low[i, None] + cell_u(Fin[i, None], Tin[i, None], Fin[j], Tin[j]) + top[j]
-            vals[np.tri(*vals.shape, -1, dtype=bool)] = -np.inf  # j <= i
+            vals = _cell_values(Fin[i, None], Tin[i, None], Fin[j], Tin[j], prefs)
+            vals += low[i, None]
+            vals += top[j]
+            n = len(vals)  # pairs j <= i lie in the first n columns
+            vals[:, :n][np.tri(n, n, -1, dtype=bool)] = -np.inf
             return vals
 
         found = _first_max(m - 1, lambda i0: m - 1 - i0, pairs)
@@ -158,9 +192,13 @@ def partition_search(
             r, c = divmod(k, m - 1 - i0)
             best_val, best_cuts = v, (float(xs[i0 + r + 1]), float(xs[i0 + c + 2]))
 
+    def line(x: List[float], i: int) -> Callable[[float], float]:
+        # The edges that stay are read once; a trial reads the prior at t only.
+        fixed = rim + [_edge(d, c) for c in x[:i] + x[i + 1:]]
+        return lambda t: _cells_value(sorted([*fixed, _edge(d, t)]), prefs)
+
     best_val, cuts = _coordinate_polish(
-        lambda trial: _partition_value(d, prefs, trial),
-        list(best_cuts), best_val, (hi - lo) / (grid_n - 1), lo, hi, rounds=2,
+        line, list(best_cuts), best_val, (hi - lo) / (grid_n - 1), lo, hi, rounds=2,
     )
     return best_val, tuple(cuts)
 
@@ -302,7 +340,7 @@ def binary_signal_search_atoms(
     start = [float(g[i0 + k // n2]), float(g[k // grid_n % grid_n]), float(g[k % grid_n])]
     # The polish runs on Python floats: no numpy scalar in its inner loop.
     best, sigma = _coordinate_polish(
-        lambda trial: _split_value_atoms(weights, levels, prefs, *trial),
+        _along(lambda trial: _split_value_atoms(weights, levels, prefs, *trial)),
         start, total, 1.0 / (grid_n - 1), 0.0, 1.0, rounds=3,
     )
     return best, (sigma[0], sigma[1], sigma[2])
@@ -380,7 +418,7 @@ def split_search(
     mu0 = env.mu0
     best, x = _grid_split(env, prefs, np.union1d(np.linspace(0.0, 1.0, grid_n), [mu0]))
     best, (lo, hi) = _coordinate_polish(
-        lambda x: _grid_split(env, prefs, np.union1d(x, [mu0]))[0],
+        _along(lambda x: _grid_split(env, prefs, np.union1d(x, [mu0]))[0]),
         x, best, 1.0 / (grid_n - 1), 0.0, 1.0, rounds=2,
     )
     return best, (lo, hi)

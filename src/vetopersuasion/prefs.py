@@ -45,10 +45,11 @@ class ProposerPreferences(ABC):
 
     def loss_array(self, x):
         """``loss`` elementwise on a numpy array, under the same domain guard.
-        A 0-d argument takes the scalar formula, bit-identical to ``loss``."""
+        A 0-d argument takes the scalar formula, bit-identical to ``loss``.
+        A float array is not copied: Linear returns x itself."""
         import numpy as np
 
-        x = np.array(x, dtype=float)
+        x = np.asarray(x, dtype=float)
         if (x < 0.0).any():
             raise DomainError(f"loss argument must be >= 0, got {x.min()}")
         return self._loss(float(x)) if x.ndim == 0 else self._loss_array(x)

@@ -306,6 +306,16 @@ def test_config_bad_value_exit_code(capsys, tmp_path, cfg, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_config_that_is_not_utf8_exits_2(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "solve", "quad", "persuasion-first", "uniform:-1,1", "power:2",
+                         "--config", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad config file") and "utf-8" in err and err.count("\n") == 1
+
+
 def test_readme_cli_examples_parse():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +14,7 @@ from vetopersuasion import (
     dist_from_literal,
     lr_tilt,
 )
-from vetopersuasion.dist import _SERIES_U, _tilt_mean_share
+from vetopersuasion.dist import _SERIES_U, _tilt_mean_share, _tilt_mean_share_array
 
 
 def _tilt_reference(d, s):
@@ -232,3 +234,73 @@ class TestLiterals:
     def test_bad_literals(self, bad):
         with pytest.raises(DomainError):
             dist_from_literal(bad)
+
+    @pytest.mark.parametrize("text,reason", [
+        ("uniform:-1e308,1e308", "support width must be finite"),
+        ("atoms:0:.5,0:.5", "atom locations must be strictly increasing"),
+    ])
+    def test_bad_literal_names_the_constructors_reason(self, text, reason):
+        with pytest.raises(DomainError, match=f"^bad {text.split(':')[0]} literal '{text}': {reason}"):
+            dist_from_literal(text)
+
+
+EPS = np.finfo(float).eps
+# lam * (hi - lo): around the series switch at +-0.25, under the flat cut at
+# 1e-17, out to +-700, and anywhere between.
+TILT_U = st.one_of(
+    st.floats(-0.3, 0.3),
+    st.floats(-1e-17, 1e-17),
+    st.floats(-700.0, 700.0),
+    st.sampled_from([sign * x for sign in (1.0, -1.0) for x in (
+        _SERIES_U, math.nextafter(_SERIES_U, 0.0), math.nextafter(_SERIES_U, 1.0), 700.0, 1e-300)]),
+)
+
+
+class TestArrayForms:
+    """cdf and upper_partial_mean on a numpy array against the float code at
+    each point, with every floating-point warning an error."""
+
+    @staticmethod
+    def _both(d, fracs):
+        lo, hi = d.support
+        xs = [lo + f * (hi - lo) for f in fracs] + [lo, hi]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            arrays = d.cdf(np.array(xs)), d.upper_partial_mean(np.array(xs))
+        return xs, arrays, (np.array([d.cdf(x) for x in xs]),
+                            np.array([d.upper_partial_mean(x) for x in xs]))
+
+    FRACS = st.lists(st.floats(-0.5, 1.5), max_size=30)
+
+    @given(st.floats(1e-3, 3.0), st.floats(1e-3, 4.0), FRACS)
+    def test_uniform_arrays_are_the_float_code_bit_for_bit(self, hi, width, fracs):
+        _, (F, T), (f, t) = self._both(UniformInterval(hi - width, hi), fracs)
+        assert F.tobytes() == f.tobytes() and T.tobytes() == t.tobytes()
+
+    @settings(deadline=None)
+    @given(st.floats(1e-3, 3.0), st.floats(1e-3, 4.0), TILT_U, FRACS)
+    def test_tilt_arrays_match_the_float_code(self, hi, width, u, fracs):
+        # numpy's exp and expm1 may differ from libm's by an ulp.  cdf keeps
+        # that within 4 ulps.  upper_partial_mean is the mass above, within
+        # 4 ulps, times a + (hi - a) * _tilt_mean_share, whose share is within
+        # 4 ulps of 1 (next test): within 8 ulps at the scale of
+        # mass * (|lo| + |hi|).
+        d = ExponentialTilt(UniformInterval(hi - width, hi), u / width)
+        xs, (F, T), (f, t) = self._both(d, fracs)
+        mass = np.array([d.mass_above(x) for x in xs])
+        assert np.all(np.abs(F - f) <= 4 * EPS * f)
+        assert np.all(np.abs(T - t) <= 8 * EPS * mass * (abs(hi - width) + hi))
+
+    @pytest.mark.parametrize("lam", [1e308, -1e308])
+    def test_a_huge_tilt_overflows_silently_as_on_floats(self, lam):
+        # lam * (hi - lo) overflows to inf: the exponents read -inf.
+        _, (F, T), (f, t) = self._both(ExponentialTilt(UniformInterval(-1.0, 1.0), lam),
+                                       [k / 8.0 for k in range(-2, 11)])
+        assert F.tolist() == f.tolist() and T.tolist() == t.tolist()
+
+    @given(st.lists(st.one_of(TILT_U, st.floats(-1e6, 1e6)), max_size=30))
+    def test_tilt_mean_share_on_an_array_is_within_4_ulps_of_1(self, us):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _tilt_mean_share_array(np.array(us, dtype=float))
+        assert np.all(np.abs(got - [_tilt_mean_share(u) for u in us]) <= 4 * EPS)

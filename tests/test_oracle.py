@@ -306,6 +306,80 @@ class TestGridBlocks:
         binary_signal_search_atoms(*self.CRIT7, LIN, 11)
         assert starts == [[xs[ii[k] + 1], xs[jj[k] + 1]], [row[s] for row in sig]]
 
+    @pytest.mark.parametrize("block", [7, 97, oracle._BLOCK])
+    @pytest.mark.parametrize("literal,prefs,cells", [
+        ("tilt:uniform:-0.5,0.5;0.3", LIN, 3),
+        ("tilt:uniform:-0.5,0.5;1e-9", LIN, 3),
+        ("tilt:uniform:-1,1;-1", Exponential(3.0), 3),
+        ("tilt:uniform:-2,1;0.7", SQ, 2),
+        ("tilt:uniform:-1,1;2", SQ, 1),
+    ])
+    def test_tilted_grids_polish_from_their_first_maximum(self, monkeypatch, block, literal, prefs, cells):
+        # The whole-grid reference on a tilt: no information, then np.argmax
+        # over every single cut, then over every cut pair in np.triu_indices
+        # order, each kept only if strictly better.  F and T come from the
+        # array forms, as in the search.
+        d, n = dist_from_literal(literal), 60
+        xs = np.linspace(*d.support, n)
+        F, T = d.cdf(xs), d.upper_partial_mean(xs)
+
+        def cell(i, j):
+            mass = F[j] - F[i]
+            mean = np.where(mass > 0.0, (T[i] - T[j]) / np.where(mass > 0, mass, 1.0), 0.0)
+            return np.where(mass > 0.0, mass * _indirect(mean, prefs), 0.0)
+
+        inner = np.arange(1, n - 1)
+        best, start = cell(0, n - 1), []
+        one = cell(0, inner) + cell(inner, n - 1)
+        k = int(np.argmax(one))
+        if one[k] > best:
+            best, start = one[k], [xs[k + 1]]
+        ii, jj = np.triu_indices(n - 2, k=1)
+        two = cell(0, ii + 1) + cell(ii + 1, jj + 1) + cell(jj + 1, n - 1)
+        k = int(np.argmax(two))
+        if two[k] > best:
+            start = [xs[ii[k] + 1], xs[jj[k] + 1]]
+        assert len(start) + 1 == cells
+
+        starts = []
+        polish = oracle._coordinate_polish
+        monkeypatch.setattr(oracle, "_coordinate_polish",
+                            lambda f, x, *rest, **kw: starts.append(list(x)) or polish(f, x, *rest, **kw))
+        monkeypatch.setattr(oracle, "_BLOCK", block)
+        partition_search(d, prefs, 3, n)
+        assert starts == [start]
+
+    @pytest.mark.parametrize("d,prefs", [
+        (TIED_PRIOR, LIN), (dist_from_literal("tilt:uniform:-1,1;-1"), Exponential(3.0)),
+    ], ids=["uniform", "tilt"])
+    def test_polish_reads_the_prior_only_at_the_moving_cut(self, monkeypatch, d, prefs):
+        # Two cuts to polish; each trial reads cdf and upper_partial_mean once,
+        # at the trial cut, and the cut that stays is not read again.
+        reads = []
+        for name in ("cdf", "upper_partial_mean"):
+            method = getattr(type(d), name)
+            monkeypatch.setattr(type(d), name, lambda self, x, method=method, name=name: (
+                reads.append((name, x)) or method(self, x)))
+        per_trial = []
+        polish = oracle._coordinate_polish
+
+        def spy(line, *args, **kw):
+            def traced(x, i):
+                f = line(x, i)
+
+                def trial(t):
+                    n = len(reads)
+                    v = f(t)
+                    per_trial.append((t, reads[n:]))
+                    return v
+                return trial
+            return polish(traced, *args, **kw)
+
+        monkeypatch.setattr(oracle, "_coordinate_polish", spy)
+        _, cuts = partition_search(d, prefs, 3, 60)
+        assert len(cuts) == 2 and len(per_trial) > 100
+        assert all(read == [("cdf", t), ("upper_partial_mean", t)] for t, read in per_trial)
+
     @pytest.mark.parametrize("call", [
         lambda: partition_search(TILT, SQ, 3, 500),
         lambda: binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, 101),
