@@ -85,8 +85,11 @@ def best_acceptable_proposal(
 
     A(p) = V(p) - V(0) is concave and piecewise linear with kinks at the
     atoms, and A(0) = 0, so the acceptance set is an interval [0, r]; r is
-    found exactly on the linear pieces.
+    found exactly on the linear pieces.  The kinks are read right to left,
+    and A only until the first one it accepts: r lies on the piece above it.
     """
+    if not all(math.isfinite(x) for x in (*thetas, *weights)):
+        raise DomainError("atom locations and weights must be finite")
     if any(t < 0.0 for t in thetas):
         raise DomainError("atom locations must be nonnegative here")
     p_bar = min(2.0 * max(thetas), 1.0)
@@ -98,13 +101,15 @@ def best_acceptable_proposal(
         # cancel against a huge t (written as a branch: no call per atom).
         return sum(w * (p if p <= t else 2.0 * t - p) for t, w in zip(thetas, weights))
 
-    breaks = sorted({0.0, p_bar, *(t for t in thetas if 0.0 < t < p_bar)})
-    values = [gap(b) for b in breaks]
-    if values[-1] >= 0.0:
+    hi_v = gap(p_bar)
+    if hi_v >= 0.0:
         return p_bar
-    # Scan right to left for the sign change; concavity guarantees one.
-    for k in range(len(breaks) - 1, 0, -1):
-        lo_v, hi_v = values[k - 1], values[k]
-        if lo_v >= 0.0 > hi_v:
-            return breaks[k - 1] + lo_v * (breaks[k] - breaks[k - 1]) / (lo_v - hi_v)
+    breaks = sorted({0.0, *(t for t in thetas if 0.0 < t < p_bar)})
+    hi = p_bar
+    # A(0) = 0, so the scan stops at 0 at the latest.
+    for lo in reversed(breaks):
+        lo_v = gap(lo)
+        if lo_v >= 0.0:
+            return lo + lo_v * (hi - lo) / (lo_v - hi_v)
+        hi, hi_v = lo, lo_v
     return 0.0

@@ -16,6 +16,7 @@ polish) searches the tripwire grid and both families.  Pure stdlib
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Tuple
 
 from ._numeric import golden_max, grid_max, linspace
@@ -175,6 +176,8 @@ def three_type_values(
     the top type always does, and the middle type mixes.  _numeric.grid_max
     maximizes each branch on the 2-point grid of its interval's ends.
     """
+    if not all(math.isfinite(x) for x in (*prior, *levels)):
+        raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
     w0, wl = prior
     wh = 1.0 - w0 - wl
     if min(w0, wl, wh) < 0.0:
@@ -191,13 +194,14 @@ def three_type_values(
     )
 
     def split_value(sigma: Tuple[float, float, float]) -> float:
+        s0, s1, s2 = sigma
         total = 0.0
-        for probs in (sigma, tuple(1.0 - s for s in sigma)):
-            mass = sum(w * s for w, s in zip(weights, probs))
+        for x0, x1, x2 in ((s0, s1, s2), (1.0 - s0, 1.0 - s1, 1.0 - s2)):
+            a, b, c = w0 * x0, wl * x1, wh * x2  # unnormalized posterior weights
+            mass = a + b + c
             if mass <= 1e-15:
                 continue
-            post = tuple(w * s / mass for w, s in zip(weights, probs))
-            p = best_acceptable_proposal(levels, post)
+            p = best_acceptable_proposal(levels, (a / mass, b / mass, c / mass))
             total += mass * prefs.utility(p)
         return total
 

@@ -13,11 +13,15 @@ derive acceptance from the Vetoer's absolute loss rather than from
 ``accept``: one closed form, ``_three_type_root``, serves the two-type split
 grid and the three-type grid and polish.  So the oracles share no model
 logic with the solvers; from ``accept`` they take only ``BinaryTypeEnv``.
+A binary signal and its relabelling sigma <-> 1 - sigma induce the same two
+posteriors (Kamenica & Gentzkow 2011), so the three-type grid scores only
+the half of the sigma cube with sigma_0 <= 1/2.
 Agreement with the fast paths is the evidence the fast paths are right.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -254,11 +258,12 @@ def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price) -> float
     return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
 
-def _three_type_root(a, b, c, ell: float, h: float):
+def _three_type_root(a, b, c, ell: float, h: float, s=None):
     """Largest proposal in [0, p_bar] that a belief with weights a, b, c >= 0
     (any scale) on the bliss points 0 <= ell < h accepts under the Vetoer's
     absolute loss; elementwise over arrays, and on Python floats without
-    numpy, bit for bit the same.
+    numpy, bit for bit the same.  s, when given, is a + b + c as the caller
+    already formed it.
 
     A type t >= 0 gains t - |p - t| from p over the status quo, so the
     acceptance gap A(p) = -a p + b (ell - |p - ell|) + c (h - |p - h|) has
@@ -277,16 +282,24 @@ def _three_type_root(a, b, c, ell: float, h: float):
     the identity holds all the same.  No term subtracts a bliss point from
     another, so a huge h does not cancel."""
     p_bar = min(2.0 * h, 1.0)
-    s, d = a + b + c, a + b - c
+    if s is None:
+        s = a + b + c
+    d = a + b - c
     if type(s) is float:
         if a > b + c:
             return 0.0
         r3 = 2.0 * (b * ell + c * h) / s if s > 0.0 else p_bar
         return min(p_bar, r3, 2.0 * b * ell / d if d > 0.0 else p_bar)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # unused or > p_bar
-        r3 = np.where(s > 0.0, 2.0 * (b * ell + c * h) / s, p_bar)
-        r2 = np.where(d > 0.0, 2.0 * b * ell / d, p_bar)
-    return np.where(a > b + c, 0.0, np.minimum(np.minimum(p_bar, r3), r2))
+    # The same steps on arrays, each root into a buffer that holds p_bar
+    # where its line does not fall.
+    r3, r2 = np.full(np.shape(s), p_bar), np.full(np.shape(s), p_bar)
+    with np.errstate(over="ignore"):  # past the float range: > p_bar
+        np.divide(2.0 * (b * ell + c * h), s, out=r3, where=s > 0.0)
+        np.divide(2.0 * b * ell, d, out=r2, where=d > 0.0)
+    np.minimum(p_bar, r3, out=r3)
+    np.minimum(r3, r2, out=r3)
+    r3[a > b + c] = 0.0
+    return r3
 
 
 def _split_value_atoms(
@@ -303,11 +316,15 @@ def _split_value_atoms(
     for x0, x1, x2 in ((s0, s1, s2), (1.0 - s0, 1.0 - s1, 1.0 - s2)):
         a, b, c = w0 * x0, w1 * x1, w2 * x2  # unnormalized posterior weights
         mass = a + b + c
-        p = _three_type_root(a, b, c, ell, h)
+        p = _three_type_root(a, b, c, ell, h, mass)
         if type(mass) is float:
             total += mass * -prefs.loss(1.0 - p) if mass > 1e-15 else 0.0
-        else:
-            total += np.where(mass > 1e-15, mass * -prefs.loss_array(1.0 - p), 0.0)
+        else:  # the float steps, in place on p
+            u = prefs.loss_array(np.subtract(1.0, p, out=p))
+            np.negative(u, out=u)
+            np.multiply(mass, u, out=u)
+            u[np.logical_not(mass > 1e-15)] = 0.0
+            total = np.add(total, u, out=u)
     return total
 
 
@@ -319,12 +336,23 @@ def binary_signal_search_atoms(
 ) -> Tuple[float, Tuple[float, float, float]]:
     """Unrestricted search over binary signals for three atom types.
 
-    sigma[i] is the probability type i sends the high signal; all of
-    [0,1]^3 is scanned on a grid, then the winner is polished coordinate
-    by coordinate.
+    sigma[i] is the probability type i sends the high signal.  Sending high
+    with probabilities sigma and with 1 - sigma are the same signal with its
+    two messages relabelled: both induce the same two posteriors, so they
+    are worth the same, and the grid over [0, 1]^3 scans only its rows with
+    sigma_0 <= 1/2, the first (grid_n + 1) // 2 in row-major order.  The
+    mirror of a skipped grid point lies in them, up to rounding: 1 - g[i]
+    and g[grid_n - 1 - i] may differ by one ulp (at 26 of the 41 points of
+    grid 41), so the two halves are not bit for bit each other's reverse,
+    and where a posterior sits exactly on an acceptance tie (say a type-0
+    weight equal to the other two) that ulp can decide which side of the
+    tie an entry falls on.  The first maximum of the half is then polished
+    coordinate by coordinate.
     """
     if grid_n > 101:
         raise DomainError(f"grid_n capped at 101, got {grid_n}")
+    if not all(math.isfinite(x) for x in (*prior, *levels)):
+        raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
     weights = [float(prior[0]), float(prior[1]), 1.0 - prior[0] - prior[1]]
     if min(weights) < -1e-12:
         raise DomainError(f"bad prior {prior}")
@@ -335,7 +363,7 @@ def binary_signal_search_atoms(
     # slab outgrows _BLOCK, but at the cap, 101, its 10,201 entries (80 KiB)
     # still stay under the mmap threshold.
     n2 = grid_n * grid_n
-    total, i0, k = _first_max(grid_n, lambda _: n2, lambda i0, i1: _split_value_atoms(
+    total, i0, k = _first_max((grid_n + 1) // 2, lambda _: n2, lambda i0, i1: _split_value_atoms(
         weights, levels, prefs, g[i0:i1, None, None], g[:, None], g))
     start = [float(g[i0 + k // n2]), float(g[k // grid_n % grid_n]), float(g[k % grid_n])]
     # The polish runs on Python floats: no numpy scalar in its inner loop.

@@ -1,4 +1,5 @@
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -185,6 +186,106 @@ class TestBinarySignalSearch:
         monkeypatch.setattr(accept, "best_acceptable_proposal", boom)
         v, _ = binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, grid_n=41)
         assert v == pytest.approx(-13.0 / 15.0, abs=1e-4)
+
+    def test_non_finite_inputs_raise(self):
+        # They read 0.0 (a NaN prior) or NaN (a NaN or infinite level).
+        nan, inf = math.nan, math.inf
+        for prior, levels in [((nan, 0.2), (0.0, 0.1, 0.5)), ((0.5, inf), (0.0, 0.1, 0.5)),
+                              ((0.5, 0.2), (0.0, nan, 0.5)), ((0.5, 0.2), (0.0, 0.1, inf))]:
+            with pytest.raises(DomainError):
+                binary_signal_search_atoms(prior, levels, LIN, grid_n=11)
+
+
+def _spy_polish_starts(monkeypatch, polish=True):
+    """Record (start, grid value) of each coordinate polish; with polish
+    False, return the grid winner unpolished."""
+    starts = []
+    real = oracle._coordinate_polish
+
+    def spy(line, x, best, *rest, **kw):
+        starts.append((list(x), best))
+        return real(line, x, best, *rest, **kw) if polish else (best, x)
+
+    monkeypatch.setattr(oracle, "_coordinate_polish", spy)
+    return starts
+
+
+def _on_acceptance_tie(weights, ell, sigma):
+    """Whether a posterior of the signal sigma (exact fractions) leaves the
+    Vetoer's gap (_three_type_root) flat at 0 on a piece that starts at
+    p = 0, so that rounding decides whether that piece accepts: L1 on
+    [0, ell] with a = b + c, or L2 with a + b = c and 2 b ell = 0."""
+    for x in (sigma, [1 - t for t in sigma]):
+        a, b, c = (Fraction(w) * t for w, t in zip(weights, x))
+        if a + b + c > 0 and ((ell > 0 and a == b + c) or (b * ell == 0 and a + b == c)):
+            return True
+    return False
+
+
+class TestHalfCube:
+    # The relabelling sigma <-> 1 - sigma leaves a signal's value unchanged,
+    # so the grid scores only the rows with sigma_0 <= 1/2.
+
+    @staticmethod
+    def _whole_cube(weights, levels, prefs, n):
+        g = np.linspace(0.0, 1.0, n)
+        index = np.indices((n,) * 3).reshape(3, -1)
+        vals = _split_value_atoms(weights, levels, prefs, *g[index])
+        k = int(np.argmax(vals))
+        return float(vals[k]), [Fraction(int(i), n - 1) for i in index[:, k]]
+
+    def test_half_cube_first_maximum_is_the_whole_cube_maximum(self, monkeypatch):
+        starts = _spy_polish_starts(monkeypatch, polish=False)
+        rng = random.Random(1919)
+        for k in range(320):
+            n = (2, 10, 11, 41)[k % 4]
+            prefs = (LIN, Power(rng.uniform(1.0, 3.0)), Exponential(rng.uniform(0.01, 4.0)))[k % 3]
+            if k % 3 == 0:  # rational weights and levels
+                w0 = rng.randrange(9) / 8
+                prior = (w0, rng.randrange(9 - int(8 * w0)) / 8)
+                h = rng.choice([0.25, 0.5, 0.75, 1.0, 1.5])
+                levels = (0.0, h * rng.choice([0.0, 0.25, 0.5, 0.75]), h)
+            else:
+                e = [rng.expovariate(1.0) for _ in range(3)]
+                prior = (e[0] / sum(e), e[1] / sum(e))
+                h = rng.uniform(0.01, 1.2)
+                levels = (0.0, h * rng.random(), h)
+            weights = [prior[0], prior[1], 1.0 - prior[0] - prior[1]]
+            whole, winner = self._whole_cube(weights, levels, prefs, n)
+            starts.clear()
+            v, sigma = binary_signal_search_atoms(prior, levels, prefs, n)
+            (start, best), = starts
+            assert v == best and list(sigma) == start and start[0] <= 0.5
+            # The half is a prefix of the cube in row-major order.  Off the
+            # ties, one ulp of 1 - g[i] moves a value by rounding alone: at
+            # most 7.2e-15 max(1, |v|) over 42,000 seeded grids.
+            assert best <= whole
+            if whole - best > 1e-13 * max(1.0, abs(whole)):
+                assert _on_acceptance_tie(weights, levels[1], winner), (prior, levels, prefs, n)
+
+    def test_a_tie_that_rounding_breaks_in_one_mirror_only(self, monkeypatch):
+        # Weights (3/8, 1/2, 1/8) at grid 11: the whole cube's winner
+        # (0.7, 1, 0.1) relabels to posterior weights a = 3/8 * 3/10 and
+        # c = 1/8 * 9/10, equal: the type at 0 is as heavy as the others, and
+        # the Vetoer accepts up to ell.  1 - g[7] rounds below 3/10 there,
+        # but its mirror g[3] = 3 * 0.1 rounds above, and rejects all.
+        starts = _spy_polish_starts(monkeypatch, polish=False)
+        weights, levels = [0.375, 0.5, 0.125], (0.0, 0.5, 1.0)
+        whole, winner = self._whole_cube(weights, levels, LIN, 11)
+        assert (whole, winner) == (-0.25833333333333336, [Fraction(7, 10), 1, Fraction(1, 10)])
+        assert _on_acceptance_tie(weights, levels[1], winner)
+        v, _ = binary_signal_search_atoms((0.375, 0.5), levels, LIN, 11)
+        assert starts[0][0][0] <= 0.5 and v == -0.2589285714285715
+
+    def test_mirror_tie_polishes_from_the_lower_half(self, monkeypatch):
+        # The whole cube's winner here was the sigma_0 = 0.95 mirror, and the
+        # polish from it read -0.39887560839582503, 3.4e-11 below this one.
+        starts = _spy_polish_starts(monkeypatch)
+        v, sigma = binary_signal_search_atoms(
+            (0.49423940919901654, 0.5029267086738041),
+            (0.0, 0.7223478432410864, 0.7826817705759962), Exponential(2.7530702631262596), 41)
+        assert starts[0][0] == [0.05, 0.05, 1.0]
+        assert sigma[0] <= 0.5 and v >= -0.39887560839582503
 
 
 def test_oracle_takes_only_the_binary_environment_from_accept():
