@@ -96,21 +96,16 @@ def bisect_rising(
     return lo, hi
 
 
-def brentq(f: Callable[[float], float], a: float, b: float,
-           xtol: float, rtol: float,
-           fa: Optional[float] = None, fb: Optional[float] = None) -> float:
+def brentq(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
     """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
 
     Takes secant or inverse quadratic steps while they shrink the bracket
     fast enough, and bisects otherwise; returns x once the bracket is
-    narrower than xtol + rtol * |x|.  A caller that already holds f(a) or
-    f(b) passes it as fa or fb, and f is not evaluated there again.
-    Raises NoRootError when f(a) and f(b) have the same sign, or when
-    _MAX_BRENT steps do not suffice.
+    narrower than xtol + rtol * |x|.  Raises NoRootError when f(a) and
+    f(b) have the same sign, or when _MAX_BRENT steps do not suffice.
     """
     xpre, xcur = a, b
-    fpre = f(xpre) if fa is None else fa
-    fcur = f(xcur) if fb is None else fb
+    fpre, fcur = f(xpre), f(xcur)
     if fpre == 0.0 or fcur == 0.0:
         return xpre if fpre == 0.0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):

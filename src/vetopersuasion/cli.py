@@ -18,15 +18,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 from .errors import DomainError, VetoPersuasionError
 
 if TYPE_CHECKING:
-    from .accept import BinaryTypeEnv
-    from .dist import FiniteAtoms, TypeDistribution
     from .prefs import ProposerPreferences
-
-_FMT = "%.12g"
-
-
-def _fmt(x: Optional[float]) -> str:
-    return "" if x is None else _FMT % x
 
 
 def _write(text: str, out: Optional[str]) -> None:
@@ -45,7 +37,7 @@ def _write_csv(rows: List[Sequence], header: Sequence[str], out: Optional[str]) 
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(header)
     for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+        w.writerow(["%.12g" % v if isinstance(v, float) else v for v in row])
     _write(buf.getvalue(), out)
 
 
@@ -59,89 +51,66 @@ def _emit(report: Dict, as_json: bool, out: Optional[str]) -> None:
     _write(text, out)
 
 
-def _binary_env(d: TypeDistribution | FiniteAtoms) -> BinaryTypeEnv:
-    from .accept import BinaryTypeEnv
-    from .dist import FiniteAtoms
+def _parse_instance(args: argparse.Namespace) -> Tuple[object, ProposerPreferences]:
+    """The prior that args.model reads, and the loss: the distribution for
+    quad, a BinaryTypeEnv for linear2, and (weights, levels) for linear3."""
+    from .dist import FiniteAtoms, from_literal
+    from .prefs import from_literal as prefs_from_literal
 
-    if not isinstance(d, FiniteAtoms) or len(d.points) != 2:
-        raise VetoPersuasionError("linear2 takes exactly two atoms: atoms:l:p,h:q")
-    (ell, _), (h, mu0) = d.points
-    return BinaryTypeEnv(ell=ell, h=h, mu0=mu0)
+    d, prefs = from_literal(args.dist), prefs_from_literal(args.loss)
+    if args.model == "quad":
+        return d, prefs
+    n, atoms = (2, "two atoms: atoms:l:p,h:q") if args.model == "linear2" else (3, "three atoms")
+    if not isinstance(d, FiniteAtoms) or len(d.points) != n:
+        raise VetoPersuasionError(f"{args.model} takes exactly {atoms}")
+    if n == 2:
+        from .accept import BinaryTypeEnv
 
-
-def _three_prior(d: TypeDistribution | FiniteAtoms) -> Tuple[Tuple[float, float], Tuple[float, float, float]]:
-    from .dist import FiniteAtoms
-
-    if not isinstance(d, FiniteAtoms) or len(d.points) != 3:
-        raise VetoPersuasionError("linear3 takes exactly three atoms")
+        (ell, _), (h, mu0) = d.points
+        return BinaryTypeEnv(ell=ell, h=h, mu0=mu0), prefs
     (t0, w0), (t1, w1), (t2, _) = d.points
     if t0 != 0.0:
         raise VetoPersuasionError("linear3 requires the lowest atom at 0")
-    return (w0, w1), (t0, t1, t2)
+    return ((w0, w1), (t0, t1, t2)), prefs
 
 
-def _parse_instance(args: argparse.Namespace) -> Tuple[TypeDistribution | FiniteAtoms, ProposerPreferences]:
-    from .dist import from_literal
-    from .prefs import from_literal as prefs_from_literal
-
-    return from_literal(args.dist), prefs_from_literal(args.loss)
+def _report(regime: str, cutoffs: List, proposals: List, value: float,
+            veto_prob: Optional[float], **extra: float) -> Dict:
+    """The solve report; the text form prints its keys in this order."""
+    return {"regime": regime, "cutoffs": cutoffs, "proposals": proposals,
+            "value": value, "veto_prob": veto_prob, **extra}
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    d, prefs = _parse_instance(args)
+    prior, prefs = _parse_instance(args)
+    persuasion_first = args.timing == "persuasion-first"
     if args.model == "quad":
         from . import qsolve
 
-        solve = (
-            qsolve.solve_persuasion_first
-            if args.timing == "persuasion-first"
-            else qsolve.solve_proposal_first
-        )
-        r = solve(d, prefs)
-        report = {
-            "regime": r.regime.value,
-            "cutoffs": [] if r.s_star is None else [r.s_star],
-            "proposals": [r.proposal],
-            "value": r.value,
-            "veto_prob": r.veto_prob,
-        }
+        solve = qsolve.solve_persuasion_first if persuasion_first else qsolve.solve_proposal_first
+        r = solve(prior, prefs)
+        cutoffs = [] if r.s_star is None else [r.s_star]
+        report = _report(r.regime.value, cutoffs, [r.proposal], r.value, r.veto_prob)
     elif args.model == "linear2":
         from . import lsolve
 
-        env = _binary_env(d)
-        if args.timing == "persuasion-first":
-            r = lsolve.solve_persuasion_first_binary(env, prefs)
-            report = {
-                "regime": r.regime,
-                "cutoffs": [mu for mu, _, _ in r.posteriors],
-                "proposals": [p for _, _, p in r.posteriors],
-                "value": r.value,
-                "veto_prob": 0.0,
-            }
+        if persuasion_first:
+            r = lsolve.solve_persuasion_first_binary(prior, prefs)
+            report = _report(r.regime, [mu for mu, _, _ in r.posteriors],
+                             [p for _, _, p in r.posteriors], r.value, 0.0)
         else:
-            p_opt, value, experiment = lsolve.solve_proposal_first_binary(env, prefs)
-            veto = experiment[0][1] if experiment else 0.0
-            report = {
-                "regime": "Split" if experiment else "NoInfo",
-                "cutoffs": [mu for mu, _ in experiment] if experiment else [env.mu0],
-                "proposals": [p_opt],
-                "value": value,
-                "veto_prob": veto,
-            }
-    else:  # linear3
+            p_opt, value, experiment = lsolve.solve_proposal_first_binary(prior, prefs)
+            if experiment:
+                report = _report("Split", [mu for mu, _ in experiment], [p_opt], value,
+                                 experiment[0][1])
+            else:
+                report = _report("NoInfo", [prior.mu0], [p_opt], value, 0.0)
+    else:  # linear3: both timings report the best binary signal
         from . import lsolve
 
-        prior, levels = _three_prior(d)
-        r = lsolve.three_type_values(prior, levels, prefs)
-        report = {
-            "regime": f"BestBinary[{r.branch}]",
-            "cutoffs": list(r.sigma_star),
-            "proposals": [],
-            "value": r.v_bestbinary,
-            "veto_prob": None,
-            "value_noinfo": r.v_noinfo,
-            "value_fullinfo": r.v_fullinfo,
-        }
+        r = lsolve.three_type_values(*prior, prefs)
+        report = _report(f"BestBinary[{r.branch}]", list(r.sigma_star), [], r.v_bestbinary, None,
+                         value_noinfo=r.v_noinfo, value_fullinfo=r.v_fullinfo)
     _emit(report, args.json, args.out)
     return 0
 
@@ -210,129 +179,126 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 3 if any(r[-1] == "fail" for r in out_rows) else 0
 
 
-def _figure_rows(fig: int, n: int) -> Tuple[List[str], List[Sequence]]:
-    from ._numeric import linspace
+def _figure1(xs: List[float]) -> List[Sequence]:
+    from .closedform import u_bi, u_fl1, u_fl2, u_no
 
-    if fig in (1, 3):
-        from . import closedform
-    elif fig == 2:
-        from . import qsolve
-        from .prefs import Power
-    else:  # figures 4-6
-        from . import lsolve
-        from .accept import BinaryTypeEnv
-        from .prefs import Linear
-    if fig == 1:
-        lo = linspace(-2.0, -0.01, n)
-        return (
-            ["theta_lo", "u_no", "u_fl1", "u_fl2", "u_bi"],
-            [
-                [t, closedform.u_no(t), closedform.u_fl1(t), closedform.u_fl2(t), closedform.u_bi(t)]
-                for t in lo
-            ],
-        )
-    if fig == 2:
-        ss = linspace(-1.0, 1.0, n)
-        prefs = Power(2.0)
-        return ["s", "indirect_u"], [[s, qsolve.indirect_u(s, prefs)] for s in ss]
-    if fig == 3:
-        his = linspace(0.05, 1.0, n)
-        return (
-            ["theta_hi", "kappa", "proposal"],
-            [[t, closedform.kappa(t), closedform.kappa(t) + t] for t in his],
-        )
-    if fig == 4:
-        mus = linspace(0.0, 1.0, n)
-        prefs = Linear()
-        envs = [BinaryTypeEnv(0.1, 0.45, 0.5), BinaryTypeEnv(0.1, 0.7, 0.5)]
-        return (
-            ["mu", "uhat_h045", "uhat_h07"],
-            [[m] + [lsolve.uhat(e, prefs, m) for e in envs] for m in mus],
-        )
-    if fig == 5:
-        prefs = Linear()
-        envs = [BinaryTypeEnv(0.15, 0.7, m) for m in (0.2, 0.3, 0.45)]
-        ps = linspace(0.0, envs[0].p_bar, n)
-        return (
-            ["p", "utilde_mu02", "utilde_mu03", "utilde_mu045"],
-            [[p] + [lsolve.utilde(e, prefs, p) for e in envs] for p in ps],
-        )
-    if fig == 6:
-        prefs = Linear()
-        mus = linspace(0.01, 0.99, n)
-        rows = []
-        for m in mus:
-            env = BinaryTypeEnv(0.1, 0.7, m)
-            pf = lsolve.solve_proposal_first_binary(env, prefs)[1]
-            ef = lsolve.solve_persuasion_first_binary(env, prefs).value
-            rows.append([m, pf, ef, lsolve.uhat(env, prefs, m)])
-        return ["mu0", "proposal_first", "persuasion_first", "no_info"], rows
-    raise VetoPersuasionError(f"unknown figure id {fig}")
+    return [[t, u_no(t), u_fl1(t), u_fl2(t), u_bi(t)] for t in xs]
+
+
+def _figure2(xs: List[float]) -> List[Sequence]:
+    from .prefs import Power
+    from .qsolve import indirect_u
+
+    prefs = Power(2.0)
+    return [[s, indirect_u(s, prefs)] for s in xs]
+
+
+def _figure3(xs: List[float]) -> List[Sequence]:
+    from .closedform import kappa
+
+    return [[t, kappa(t), kappa(t) + t] for t in xs]
+
+
+def _figure4(xs: List[float]) -> List[Sequence]:
+    from .accept import BinaryTypeEnv
+    from .lsolve import uhat
+    from .prefs import Linear
+
+    prefs, envs = Linear(), [BinaryTypeEnv(0.1, 0.45, 0.5), BinaryTypeEnv(0.1, 0.7, 0.5)]
+    return [[m] + [uhat(e, prefs, m) for e in envs] for m in xs]
+
+
+def _figure5(xs: List[float]) -> List[Sequence]:
+    from .accept import BinaryTypeEnv
+    from .lsolve import utilde
+    from .prefs import Linear
+
+    prefs, envs = Linear(), [BinaryTypeEnv(0.15, 0.7, m) for m in (0.2, 0.3, 0.45)]
+    return [[p] + [utilde(e, prefs, p) for e in envs] for p in xs]
+
+
+def _figure6(xs: List[float]) -> List[Sequence]:
+    from . import lsolve
+    from .accept import BinaryTypeEnv
+    from .prefs import Linear
+
+    prefs, rows = Linear(), []
+    for m in xs:
+        env = BinaryTypeEnv(0.1, 0.7, m)
+        pf = lsolve.solve_proposal_first_binary(env, prefs)[1]
+        ef = lsolve.solve_persuasion_first_binary(env, prefs).value
+        rows.append([m, pf, ef, lsolve.uhat(env, prefs, m)])
+    return rows
+
+
+# Figure id -> (grid range, CSV header, rows over the grid); each rows
+# function imports only the modules it runs.  Figure 5's range ends at
+# p_bar = min(2h, 1) = 1 of its types (0.15, 0.7).
+_FIGURES = {
+    1: ((-2.0, -0.01), ["theta_lo", "u_no", "u_fl1", "u_fl2", "u_bi"], _figure1),
+    2: ((-1.0, 1.0), ["s", "indirect_u"], _figure2),
+    3: ((0.05, 1.0), ["theta_hi", "kappa", "proposal"], _figure3),
+    4: ((0.0, 1.0), ["mu", "uhat_h045", "uhat_h07"], _figure4),
+    5: ((0.0, 1.0), ["p", "utilde_mu02", "utilde_mu03", "utilde_mu045"], _figure5),
+    6: ((0.01, 0.99), ["mu0", "proposal_first", "persuasion_first", "no_info"], _figure6),
+}
 
 
 def cmd_figure(args: argparse.Namespace) -> int:
-    header, rows = _figure_rows(args.id, args.grid or 101)
-    _write_csv(rows, header, args.out)
+    from ._numeric import linspace
+
+    (lo, hi), header, rows = _FIGURES[args.id]
+    _write_csv(rows(linspace(lo, hi, args.grid or 101)), header, args.out)
     return 0
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    from . import lsolve, oracle, qsolve
+    prior, prefs = _parse_instance(args)
+    from . import oracle
 
-    d, prefs = _parse_instance(args)
     scale = max(1.0, prefs.loss(1.0))  # payoff gaps count in units of max(1, c(1))
     tol = (args.tol if args.tol is not None else 1e-6) * scale
     checks: List[Tuple[str, bool, str]] = []
     if args.model == "quad":
-        r = qsolve.solve_persuasion_first(d, prefs)
-        grid_n = min(args.grid or 400, 500)
-        best, _ = oracle.partition_search(d, prefs, 3, grid_n)
-        if r.regime is qsolve.Regime.BINARY_CUTOFF:
-            ok, viol = oracle.verify_certificate(d, prefs, r.s_star, r.s_upper)
-            checks.append(("price-certificate", ok, f"max violation {viol:.3g}"))
-            checks.append(
-                ("partition-search", best <= r.value + tol, f"oracle {best:.9g} vs {r.value:.9g}")
-            )
-        elif r.regime is qsolve.Regime.NO_INFO:
-            ok, viol = oracle.verify_no_info_certificate(d, prefs)
-            checks.append(("tangent-certificate", ok, f"max violation {viol:.3g}"))
-            checks.append(
-                (
-                    "partition-search",
-                    best <= r.value + tol,
-                    "no improving partition found" if best <= r.value + tol else f"improved to {best:.9g}",
-                )
-            )
+        from .qsolve import Regime, solve_persuasion_first
+
+        r = solve_persuasion_first(prior, prefs)
+        best, _ = oracle.partition_search(prior, prefs, 3, min(args.grid or 400, 500))
+        if r.regime is Regime.BINARY_CUTOFF or r.regime is Regime.NO_INFO:
+            cutoff = r.regime is Regime.BINARY_CUTOFF
+            ok, viol = (oracle.verify_certificate(prior, prefs, r.s_star, r.s_upper) if cutoff
+                        else oracle.verify_no_info_certificate(prior, prefs))
+            cert = "price-certificate" if cutoff else "tangent-certificate"
+            checks.append((cert, ok, f"max violation {viol:.3g}"))
+            ok = best <= r.value + tol
+            msg = (f"oracle {best:.9g} vs {r.value:.9g}" if cutoff
+                   else "no improving partition found" if ok else f"improved to {best:.9g}")
+            checks.append(("partition-search", ok, msg))
         else:
             checks.append(("regime", True, r.regime.value))
     elif args.model == "linear2":
-        env = _binary_env(d)
-        p_opt, value, _ = lsolve.solve_proposal_first_binary(env, prefs)
-        p_g, v_g = oracle.proposal_first_grid(env, prefs, args.grid or 4001)
-        checks.append(
-            ("proposal-grid", abs(v_g - value) <= tol, f"grid {v_g:.9g} vs {value:.9g}")
-        )
-        pf = lsolve.solve_persuasion_first_binary(env, prefs)
-        v_s, (a, b) = oracle.split_search(env, prefs, min(args.grid or 2001, 2001))
+        from . import lsolve
+
+        p_opt, value, _ = lsolve.solve_proposal_first_binary(prior, prefs)
+        _, v_g = oracle.proposal_first_grid(prior, prefs, args.grid or 4001)
+        checks.append(("proposal-grid", abs(v_g - value) <= tol, f"grid {v_g:.9g} vs {value:.9g}"))
+        pf = lsolve.solve_persuasion_first_binary(prior, prefs)
+        v_s, (a, b) = oracle.split_search(prior, prefs, min(args.grid or 2001, 2001))
         checks.append(("split-search", abs(v_s - pf.value) <= tol,
                        f"split {v_s:.9g} at ({a:.6g}, {b:.6g}) vs {pf.value:.9g}"))
         ordered = pf.value >= value - 1e-10 * scale
         checks.append(("timing-order", ordered, f"{pf.value:.9g} >= {value:.9g}"))
     else:
-        prior, levels = _three_prior(d)
-        r = lsolve.three_type_values(prior, levels, prefs)
-        best, sigma = oracle.binary_signal_search_atoms(prior, levels, prefs, min(args.grid or 41, 101))
-        checks.append(
-            (
-                "binary-signal-search",
-                abs(best - r.v_bestbinary) <= 1e-4 * scale,
-                f"oracle {best:.9g} (sigma={tuple(round(s, 6) for s in sigma)}) vs {r.v_bestbinary:.9g}",
-            )
-        )
-    all_ok = all(ok for _, ok, _ in checks)
+        from . import lsolve
+
+        r = lsolve.three_type_values(*prior, prefs)
+        best, sigma = oracle.binary_signal_search_atoms(*prior, prefs, min(args.grid or 41, 101))
+        sigma = tuple(round(s, 6) for s in sigma)
+        checks.append(("binary-signal-search", abs(best - r.v_bestbinary) <= 1e-4 * scale,
+                       f"oracle {best:.9g} (sigma={sigma}) vs {r.v_bestbinary:.9g}"))
     lines = [f"{'PASS' if ok else 'FAIL'} {name}: {msg}" for name, ok, msg in checks]
     _write("\n".join(lines) + "\n", args.out)
-    return 0 if all_ok else 3
+    return 0 if all(ok for _, ok, _ in checks) else 3
 
 
 def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
@@ -373,46 +339,44 @@ def _config_value(key: str, val: object, action: argparse.Action) -> object:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="vps", description="Veto-bargaining persuasion solvers"
-    )
+    parser = argparse.ArgumentParser(prog="vps", description="Veto-bargaining persuasion solvers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        # Defaults are None so a config file can tell "unset" from "explicit".
+    def instance(p: argparse.ArgumentParser, timing: bool) -> None:
+        p.add_argument("model", choices=["quad", "linear2", "linear3"])
+        if timing:
+            p.add_argument("timing", choices=["persuasion-first", "proposal-first"])
+        p.add_argument("dist", help="uniform:lo,hi | atoms:t:p,... | tilt:(base);lam")
+        p.add_argument("loss", help="linear | power:gamma | exp:alpha")
+
+    def common(p: argparse.ArgumentParser, fn, grid: bool = False) -> None:
+        """The flags every command takes, and the function that runs it.
+        Defaults are None so a config file can tell "unset" from "explicit"."""
+        p.set_defaults(fn=fn)
         p.add_argument("--json", action="store_true", default=None,
                        help="machine-readable output")
         p.add_argument("--out", default=None, help="write output to a file")
         p.add_argument("--config", default=None, help="JSON config file mirroring flags")
+        if grid:
+            p.add_argument("--grid", type=int, default=None, help="grid size override")
 
     p = sub.add_parser("solve", help="solve a single instance")
-    p.add_argument("model", choices=["quad", "linear2", "linear3"])
-    p.add_argument("timing", choices=["persuasion-first", "proposal-first"])
-    p.add_argument("dist", help="uniform:lo,hi | atoms:t:p,... | tilt:(base);lam")
-    p.add_argument("loss", help="linear | power:gamma | exp:alpha")
-    common(p)
-    p.set_defaults(fn=cmd_solve)
+    instance(p, timing=True)
+    common(p, cmd_solve)
 
     p = sub.add_parser("sweep", help="comparative-statics sweep to CSV")
     p.add_argument("kind", choices=sorted(_SWEEPS))
     p.add_argument("--values", default=None, help="comma-separated parameter values")
-    common(p)
-    p.set_defaults(fn=cmd_sweep)
+    common(p, cmd_sweep)
 
     p = sub.add_parser("figure", help="emit figure data as CSV")
-    p.add_argument("id", type=int, choices=[1, 2, 3, 4, 5, 6])
-    common(p)
-    p.add_argument("--grid", type=int, default=None, help="grid size override")
-    p.set_defaults(fn=cmd_figure)
+    p.add_argument("id", type=int, choices=sorted(_FIGURES))
+    common(p, cmd_figure, grid=True)
 
     p = sub.add_parser("oracle", help="cross-check an instance against brute force")
-    p.add_argument("model", choices=["quad", "linear2", "linear3"])
-    p.add_argument("dist")
-    p.add_argument("loss")
-    common(p)
-    p.add_argument("--grid", type=int, default=None, help="grid size override")
+    instance(p, timing=False)
+    common(p, cmd_oracle, grid=True)
     p.add_argument("--tol", type=float, default=None, help="check tolerance, times max(1, c(1))")
-    p.set_defaults(fn=cmd_oracle)
     return parser
 
 
@@ -421,8 +385,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         _apply_config(args, parser)
-        if getattr(args, "grid", None) is not None and not 2 <= args.grid <= 100_001:
-            raise DomainError(f"--grid takes an integer from 2 to 100001, got {args.grid!r}")
+        grid, tol = getattr(args, "grid", None), getattr(args, "tol", None)
+        if grid is not None and not 2 <= grid <= 100_001:
+            raise DomainError(f"--grid takes an integer from 2 to 100001, got {grid!r}")
+        if tol is not None and not 0.0 <= tol < float("inf"):  # NaN fails too
+            raise DomainError(f"--tol takes a finite number >= 0, got {tol!r}")
         return args.fn(args)
     except (VetoPersuasionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

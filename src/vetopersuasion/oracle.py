@@ -353,6 +353,9 @@ def binary_signal_search_atoms(
         raise DomainError(f"grid_n capped at 101, got {grid_n}")
     if not all(math.isfinite(x) for x in (*prior, *levels)):
         raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
+    z, ell, h = levels
+    if not (z == 0.0 and 0.0 <= ell < h):  # the bliss points _three_type_root reads
+        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
     weights = [float(prior[0]), float(prior[1]), 1.0 - prior[0] - prior[1]]
     if min(weights) < -1e-12:
         raise DomainError(f"bad prior {prior}")

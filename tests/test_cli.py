@@ -56,6 +56,29 @@ def test_solve_linear3(capsys):
     assert report["value_fullinfo"] == pytest.approx(-0.86)
 
 
+SOLVE_DISTS = {"quad": "uniform:-1,1", "linear2": "atoms:0.1:.8,0.7:.2",
+               "linear3": "atoms:0:.7,0.1:.2,0.5:.1"}
+REPORT_KEYS = ["regime", "cutoffs", "proposals", "value", "veto_prob"]
+
+
+@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
+@pytest.mark.parametrize("model", sorted(SOLVE_DISTS))
+def test_solve_report_keys(capsys, model, timing):
+    argv = ("solve", model, timing, SOLVE_DISTS[model], "linear")
+    keys = REPORT_KEYS + (["value_noinfo", "value_fullinfo"] if model == "linear3" else [])
+    code, text, _ = run(capsys, *argv)
+    assert code == 0
+    assert [line.split(": ", 1)[0] for line in text.splitlines()] == keys
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and sorted(json.loads(out)) == sorted(keys)
+
+
+def test_solve_linear3_reports_the_same_signal_under_either_timing(capsys):
+    reports = [run(capsys, "solve", "linear3", timing, SOLVE_DISTS["linear3"], "linear")
+               for timing in ("persuasion-first", "proposal-first")]
+    assert reports[0] == reports[1]
+
+
 def test_json_output_is_byte_stable(capsys):
     args = ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2", "--json")
     _, first, _ = run(capsys, *args)
@@ -81,6 +104,10 @@ def test_bad_input_exit_code(capsys):
         # A grid of 1e9 points would need 8 GB or more: refused before any is built.
         ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1000000000"),
         ("figure", "1", "--grid", "1000000000"),
+        # --tol is a finite gap >= 0; NaN and -1 failed every check, inf passed them.
+        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "nan"),
+        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "-1"),
+        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "inf"),
         # Finite bounds whose width hi - lo overflows to inf.
         ("solve", "quad", "persuasion-first", "uniform:-1e308,1e308", "linear"),
         ("solve", "quad", "proposal-first", "uniform:-1e308,1e308", "linear"),
@@ -291,6 +318,7 @@ def test_config_flag_precedence(capsys, tmp_path):
     [
         ({"values": 5}, ("sweep", "tilt")),
         ({"tol": "x"}, ("oracle", "quad", "uniform:-1,1", "power:2")),
+        ({"tol": float("nan")}, ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50")),
         ({"json": "no"}, ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
         # A config that is not a JSON object.
         ([1, 2], ("solve", "quad", "persuasion-first", "uniform:-1,1", "power:2")),
@@ -325,3 +353,19 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv[1:])
+
+
+def test_readme_cli_section_names_the_whole_syntax():
+    # The parser is the one source of the syntax; the README must name every
+    # subcommand, choice and long flag it defines, each in a code span.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## CLI", 1)[1].split("\n## ", 1)[0]
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    names = set(commands)
+    for sub in commands.values():
+        for action in sub._actions:
+            names.update(str(c) for c in action.choices or ())
+            names.update(f for f in action.option_strings if f.startswith("--") and f != "--help")
+    missing = sorted(n for n in names if f"`{n}`" not in section and f"`{n} " not in section)
+    assert not missing

@@ -114,18 +114,6 @@ def test_brentq_at_an_endpoint():
     assert brentq(lambda x: x, 0.0, 1.0, xtol=1e-15, rtol=8.9e-16) == 0.0
 
 
-def test_brentq_reuses_given_end_values():
-    calls = []
-
-    def f(x):
-        calls.append(x)
-        return math.cos(x)
-
-    root = brentq(f, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16, fa=1.0, fb=math.cos(2.0))
-    assert root == brentq(math.cos, 0.0, 2.0, xtol=1e-15, rtol=8.9e-16)
-    assert 0.0 not in calls and 2.0 not in calls
-
-
 def test_brentq_without_a_sign_change():
     with pytest.raises(NoRootError):
         brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-15, rtol=8.9e-16)
@@ -186,6 +174,26 @@ def test_solve_loads_only_its_solver(model, timing, dist, absent):
         "from vetopersuasion.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    code = main(['solve', {model!r}, {timing!r}, {dist!r}, 'linear'])\n"
+        f"print(code, *(m for m in {absent!r} if 'vetopersuasion.' + m in sys.modules))\n"
+    )
+    assert _run_python(code).stdout.split() == ["0"]
+
+
+@pytest.mark.parametrize(
+    "model, dist, absent",
+    [
+        ("quad", "uniform:-1,1", ["lsolve", "closedform"]),
+        ("linear2", "atoms:0.1:.8,0.7:.2", ["qsolve", "closedform"]),
+        ("linear3", "atoms:0:.7,0.1:.2,0.5:.1", ["qsolve", "closedform"]),
+    ],
+    ids=["quad", "linear2", "linear3"],
+)
+def test_oracle_loads_only_its_solver(model, dist, absent):
+    code = (
+        "import contextlib, io, sys\n"
+        "from vetopersuasion.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['oracle', {model!r}, {dist!r}, 'linear', '--grid', '11'])\n"
         f"print(code, *(m for m in {absent!r} if 'vetopersuasion.' + m in sys.modules))\n"
     )
     assert _run_python(code).stdout.split() == ["0"]

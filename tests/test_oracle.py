@@ -195,6 +195,17 @@ class TestBinarySignalSearch:
             with pytest.raises(DomainError):
                 binary_signal_search_atoms(prior, levels, LIN, grid_n=11)
 
+    @pytest.mark.parametrize("levels", [
+        (0.2, 0.3, 0.5),  # the first level is not 0; this one read -0.74
+        (0.0, 0.5, 0.5), (0.0, 0.6, 0.5),  # ell >= h
+        (0.0, -0.1, 0.5),  # ell < 0
+    ])
+    def test_levels_outside_the_solver_domain_raise(self, levels):
+        with pytest.raises(DomainError):
+            three_type_values((0.5, 0.3), levels, LIN)
+        with pytest.raises(DomainError):
+            binary_signal_search_atoms((0.5, 0.3), levels, LIN, grid_n=11)
+
 
 def _spy_polish_starts(monkeypatch, polish=True):
     """Record (start, grid value) of each coordinate polish; with polish

@@ -187,7 +187,7 @@ def _nested_tangency(s, prefs):
         return 0.5
     if s >= 0.0:
         return 0.0
-    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16, fb=g_half)
+    return brentq(g, 0.0, 0.5, xtol=1e-15, rtol=8.9e-16)
 
 
 def _nested_z(d, prefs):
