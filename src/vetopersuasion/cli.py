@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import DomainError, VetoPersuasionError
 
@@ -115,40 +115,55 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_row(kind: str, x: float) -> Tuple:
-    """(x, s_star, s_upper, F(s_star), value, has_cutoff) at parameter x.
-    Without a cutoff (no information, ideal accepted) both posterior means
-    are the prior mean."""
-    from .dist import UniformInterval, lr_tilt
-    from .prefs import Exponential, Power
+def _sweep_row(instance: Callable[[float], Tuple], x: float) -> Tuple:
+    """(x, s_star, s_upper, F(s_star), value, has_cutoff) on the prior and
+    loss instance(x).  Without a cutoff (no information, ideal accepted)
+    both posterior means are the prior mean."""
     from .qsolve import solve_persuasion_first
 
-    if kind == "risk-aversion":
-        d, prefs = UniformInterval(-1.0, 1.0), Exponential(x)
-    elif kind == "tilt":
-        # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
-        # default rows stay in the cutoff regime and the columns are comparable.
-        base = UniformInterval(-1.0, 0.8)
-        d, prefs = (lr_tilt(base, x) if x != 0.0 else base), Power(2.0)
-    else:  # theta-hi
-        d, prefs = UniformInterval(-1.0, x), Power(2.0)
+    d, prefs = instance(x)
     r = solve_persuasion_first(d, prefs)
     s = r.s_star if r.s_star is not None else d.mean()
     up = r.s_upper if r.s_upper is not None else d.mean()
     return x, s, up, d.cdf(s), r.value, r.s_star is not None
 
 
+def _risk_aversion(x: float) -> Tuple:
+    from .dist import UniformInterval
+    from .prefs import Exponential
+
+    return UniformInterval(-1.0, 1.0), Exponential(x)
+
+
+def _tilt(x: float) -> Tuple:
+    # theta_hi = 0.8 keeps moderately tilted priors below mean 1/2, so the
+    # default rows stay in the cutoff regime and the columns are comparable.
+    from .dist import UniformInterval, lr_tilt
+    from .prefs import Power
+
+    base = UniformInterval(-1.0, 0.8)
+    return (lr_tilt(base, x) if x != 0.0 else base), Power(2.0)
+
+
+def _theta_hi(x: float) -> Tuple:
+    from .dist import UniformInterval
+    from .prefs import Power
+
+    return UniformInterval(-1.0, x), Power(2.0)
+
+
 # Sweep kind -> default grid (theta-hi's, ten points on [0.55, 1], is built
-# when it runs) and the directions in which s_star and s_upper move on it.
+# when it runs), the directions in which s_star and s_upper move on it, and
+# the (prior, loss) at parameter x; each imports only what it builds.
 _SWEEPS = {
-    "risk-aversion": ([0.5, 1.0, 2.0, 4.0], ("<=", "<=")),
-    "tilt": ([0.0, 0.5, 1.0, 2.0], ("<=", ">=")),
-    "theta-hi": (None, ("<=", ">=")),
+    "risk-aversion": ([0.5, 1.0, 2.0, 4.0], ("<=", "<="), _risk_aversion),
+    "tilt": ([0.0, 0.5, 1.0, 2.0], ("<=", ">="), _tilt),
+    "theta-hi": (None, ("<=", ">="), _theta_hi),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid, (dir_s, dir_up) = _SWEEPS[args.kind]
+    grid, (dir_s, dir_up), instance = _SWEEPS[args.kind]
     if args.values:
         try:
             grid = [float(v) for v in args.values.split(",")]
@@ -158,7 +173,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from ._numeric import linspace
 
         grid = linspace(0.55, 1.0, 10)
-    rows = [_sweep_row(args.kind, x) for x in grid]
+    rows = [_sweep_row(instance, x) for x in grid]
 
     def ok(prev: float, cur: float, sense: str) -> bool:
         return cur <= prev + 1e-9 if sense == "<=" else cur >= prev - 1e-9

@@ -176,6 +176,8 @@ def three_type_values(
     the top type always does, and the middle type mixes.  _numeric.grid_max
     maximizes each branch on the 2-point grid of its interval's ends.
     """
+    if len(prior) != 2 or len(levels) != 3:
+        raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
     if not all(math.isfinite(x) for x in (*prior, *levels)):
         raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
     w0, wl = prior

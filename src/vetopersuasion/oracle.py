@@ -351,6 +351,8 @@ def binary_signal_search_atoms(
     """
     if grid_n > 101:
         raise DomainError(f"grid_n capped at 101, got {grid_n}")
+    if len(prior) != 2 or len(levels) != 3:
+        raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
     if not all(math.isfinite(x) for x in (*prior, *levels)):
         raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
     z, ell, h = levels

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from ._numeric import bisect_rising, brentq, grid_max, linspace
 from ._record import Record
@@ -193,36 +193,44 @@ def solve_persuasion_first(
     )
 
 
-def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:
-    """Smallest s with E[theta | theta >= s] >= target_mean, at most just
-    below theta_hi: exact for a uniform prior, whose E[theta | theta >= s]
-    is (s + theta_hi) / 2, and by bisection otherwise."""
+def _cutoff_map(d: TypeDistribution) -> Callable[[float], float]:
+    """target_mean -> the smallest s with E[theta | theta >= s] >= target_mean,
+    at most the cap just below theta_hi: exact for a uniform prior, whose
+    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection otherwise."""
     theta_lo, theta_hi = d.support
-    if d.cond_mean_above(theta_lo) >= target_mean:
-        return theta_lo
+    mean_lo = d.cond_mean_above(theta_lo)
     cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
     if isinstance(d, UniformInterval):
-        return min(2.0 * target_mean - theta_hi, cap)
-    return bisect_rising(d.cond_mean_above, target_mean, theta_lo, cap)[1]
+        return lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap)
+    return lambda t: (theta_lo if mean_lo >= t
+                      else bisect_rising(d.cond_mean_above, t, theta_lo, cap)[1])
 
 
-def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences, p: float) -> float:
-    """Best attainable payoff from committing to proposal p, then choosing
-    the experiment that maximizes its acceptance probability."""
-    mean = d.mean()
-    if p <= 0.0:
-        return -prefs.loss(1.0)
-    if mean > 0.0 and p <= 2.0 * mean:
-        return prefs.utility(p)
-    _, theta_hi = d.support
-    if p >= 2.0 * theta_hi:
-        return -prefs.loss(1.0)
-    try:
-        s = _acceptance_cutoff(d, 0.5 * p)
-    except FullMassBelowError:  # the cutoff leaves at most _MASS_EPS of mass
-        return -prefs.loss(1.0)
-    accept = 1.0 - d.cdf(s)
-    return accept * prefs.utility(p) + (1.0 - accept) * (-prefs.loss(1.0))
+def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:
+    return _cutoff_map(d)(target_mean)
+
+
+def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences) -> Callable[[float], float]:
+    """p -> the best attainable payoff from committing to proposal p, then
+    choosing the experiment that maximizes its acceptance probability."""
+    c1, mean, (_, theta_hi), cutoff = prefs.loss(1.0), d.mean(), d.support, _cutoff_map(d)
+    two_mean, two_hi, utility, cdf = 2.0 * mean, 2.0 * theta_hi, prefs.utility, d.cdf
+
+    def value(p: float) -> float:
+        if p <= 0.0:
+            return -c1
+        if mean > 0.0 and p <= two_mean:
+            return utility(p)
+        if p >= two_hi:
+            return -c1
+        try:
+            s = cutoff(0.5 * p)
+        except FullMassBelowError:  # the cutoff leaves at most _MASS_EPS of mass
+            return -c1
+        accept = 1.0 - cdf(s)
+        return accept * utility(p) + (1.0 - accept) * (-c1)
+
+    return value
 
 
 def solve_proposal_first(
@@ -232,7 +240,9 @@ def solve_proposal_first(
 
     _numeric.grid_max maximizes the committed proposal's value on 801 points
     of [0, min(2 theta_hi, 1)]; for each proposal the best experiment is the
-    acceptance-probability-maximizing cutoff.
+    acceptance-probability-maximizing cutoff.  The objective binds c(1),
+    E[theta], theta_hi and the prior's cutoff map (theta_lo, E[theta |
+    theta >= theta_lo], the cap) once per solve, not once per point.
     """
     trivial = _trivial_outcome(d, prefs)
     if trivial is not None:
@@ -243,7 +253,7 @@ def solve_proposal_first(
     # linspace ends on min(2 theta_hi, 1) exactly: 800 steps can round an ulp
     # short of 2 theta_hi, past the p >= 2 theta_hi guard of _proposal_value.
     grid = linspace(0.0, min(2.0 * theta_hi, 1.0), 801)
-    p_opt, value = grid_max(lambda p: _proposal_value(d, prefs, p), grid, _GOLDEN_TOL)
+    p_opt, value = grid_max(_proposal_value(d, prefs), grid, _GOLDEN_TOL)
 
     if mean > 0.0 and p_opt <= 2.0 * mean + 1e-9:
         return SolveOutcome(Regime.NO_INFO, None, None, p_opt, value, 0.0)

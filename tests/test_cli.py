@@ -255,6 +255,33 @@ def test_sweep_across_regimes(capsys):
     assert verdicts == ["n/a", "pass", "fail"]
 
 
+def test_every_sweep_kind_builds_its_own_instance(capsys, monkeypatch):
+    from vetopersuasion import cli
+    from vetopersuasion.dist import UniformInterval, lr_tilt
+    from vetopersuasion.prefs import Exponential, Power
+    from vetopersuasion.qsolve import solve_persuasion_first
+
+    expected = {
+        "risk-aversion": (UniformInterval(-1.0, 1.0), Exponential(0.7)),
+        "tilt": (lr_tilt(UniformInterval(-1.0, 0.8), 0.7), Power(2.0)),
+        "theta-hi": (UniformInterval(-1.0, 0.7), Power(2.0)),
+    }
+    assert set(cli._SWEEPS) == set(expected)
+    for kind, (_, _, instance) in cli._SWEEPS.items():
+        assert instance(0.7) == expected[kind], kind
+    assert cli._SWEEPS["tilt"][2](0.0) == (UniformInterval(-1.0, 0.8), Power(2.0))
+
+    # A kind declared only in the table runs on the instance it declares,
+    # not on theta-hi's.
+    d, prefs = UniformInterval(-1.0, 0.6), Power(3.0)
+    monkeypatch.setitem(cli._SWEEPS, "power-three", ([0.6], ("<=", ">="), lambda x: (d, prefs)))
+    code, out, _ = run(capsys, "sweep", "power-three")
+    assert code == 0
+    value = out.strip().splitlines()[1].split(",")[4]
+    assert value == "%.12g" % solve_persuasion_first(d, prefs).value
+    assert value != "%.12g" % solve_persuasion_first(d, Power(2.0)).value
+
+
 def test_figure_csv(capsys, tmp_path):
     out = tmp_path / "fig1.csv"
     code, _, _ = run(capsys, "figure", "1", "--out", str(out), "--grid", "5")

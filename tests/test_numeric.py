@@ -203,7 +203,8 @@ def test_oracle_loads_only_its_solver(model, dist, absent):
 NUMPY_FREE_COMMANDS = [
     *(["solve", "quad", t, "uniform:-1,1", "power:2"]
       for t in ("persuasion-first", "proposal-first")),
-    ["solve", "quad", "persuasion-first", "tilt:uniform:-1,1;-0.5", "power:2"],
+    *(["solve", "quad", t, "tilt:uniform:-1,1;-0.5", "power:2"]
+      for t in ("persuasion-first", "proposal-first")),
     *(["solve", "linear2", t, "atoms:0.1:.8,0.7:.2", "linear"]
       for t in ("persuasion-first", "proposal-first")),
     ["solve", "linear3", "proposal-first", "atoms:0:.7,0.1:.2,0.5:.1", "linear"],

@@ -206,6 +206,18 @@ class TestBinarySignalSearch:
         with pytest.raises(DomainError):
             binary_signal_search_atoms((0.5, 0.3), levels, LIN, grid_n=11)
 
+    @pytest.mark.parametrize("prior,levels", [
+        ((0.5, 0.3), (0.0, 0.1)),  # both read a bare ValueError from the unpacking
+        ((0.5, 0.3), (0.0, 0.1, 0.5, 0.9)),
+        ((0.5,), (0.0, 0.1, 0.5)),
+        ((0.5, 0.3, 0.2), (0.0, 0.1, 0.5)),  # the oracle read the first two weights
+    ])
+    def test_wrong_atom_counts_raise(self, prior, levels):
+        with pytest.raises(DomainError, match="2 prior weights and 3 levels"):
+            three_type_values(prior, levels, LIN)
+        with pytest.raises(DomainError, match="2 prior weights and 3 levels"):
+            binary_signal_search_atoms(prior, levels, LIN, grid_n=11)
+
 
 def _spy_polish_starts(monkeypatch, polish=True):
     """Record (start, grid value) of each coordinate polish; with polish

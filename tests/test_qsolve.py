@@ -26,6 +26,7 @@ from vetopersuasion import qsolve
 from vetopersuasion._numeric import bisect_rising, brentq
 from vetopersuasion.closedform import linear_case_uniform, u_bi
 from vetopersuasion.oracle import _partition_value, verify_certificate
+from vetopersuasion.prefs import ProposerPreferences
 from vetopersuasion.qsolve import _acceptance_cutoff
 
 U11 = UniformInterval(-1.0, 1.0)
@@ -235,6 +236,35 @@ def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
         calls.clear()
         _acceptance_cutoff(d, target)
         assert len(calls) <= 1
+
+
+def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
+    # The objective binds E[theta], the support, E[theta | theta >= theta_lo]
+    # and c(1) when it is built: a uniform solve reads each a few times in
+    # all, not once at each of its 801 grid points and polish steps.
+    calls = {}
+
+    def count(cls, name):
+        plain = getattr(cls, name)
+
+        def counted(self, *args):
+            calls[name] = calls.get(name, 0) + 1
+            return plain(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    for name in ("mean", "cond_mean_above", "cdf"):
+        count(UniformInterval, name)
+    count(ProposerPreferences, "loss")
+    # support is a property: count its getter.
+    monkeypatch.setattr(UniformInterval, "support", UniformInterval.support.fget)
+    count(UniformInterval, "support")
+    monkeypatch.setattr(UniformInterval, "support", property(UniformInterval.support))
+    r = solve_proposal_first(UniformInterval(-1.0, 0.8), SQ)
+    assert r.regime is Regime.BINARY_CUTOFF
+    assert calls.pop("cdf") > 800  # each grid point past 0 was scored
+    assert set(calls) == {"mean", "support", "cond_mean_above", "loss"}
+    assert max(calls.values()) <= 5, calls
 
 
 @settings(max_examples=150, deadline=None)
