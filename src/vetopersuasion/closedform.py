@@ -3,7 +3,11 @@
 These are the worked closed forms for F uniform with quadratic Proposer
 loss (the four information regimes as functions of the lower support bound)
 plus the linear-Proposer case.  They serve as golden values against the
-general solver; nothing here calls the solver.
+general solver; nothing here calls the solver.  ``linear_case_uniform`` and
+``quadratic_case_uniform`` have no caller in the package, and stay public
+because golden values must live apart from what they check: the
+benchmark's ``check_quad`` (bench/workloads.py) holds each quadratic
+uniform solve to ``quadratic_case_uniform``, and the tests read both.
 
 Note on the four-regime expression for proposal-first full information:
 the simplified published fraction carries a typo in its denominator, so

@@ -178,9 +178,20 @@ def _tilt_mean_share_array(u):
 
 
 class ExponentialTilt(TypeDistribution, Record):
-    """Density proportional to f(theta) * exp(lam * theta), renormalized."""
+    """Density proportional to f(theta) * exp(lam * theta), renormalized.
 
-    __slots__ = ("base", "lam")
+    The constants every float query reads are bound at construction, in
+    private slots that are not fields (equality, hash, repr and pickle see
+    only base and lam): the bounds lo and hi, k = -|lam|, whether the tilt is
+    flat in double, |lam| (hi - lo) < 1e-17, and the normaliser
+    math.expm1(k (hi - lo)).  Each is the value the per-query formula
+    computed, so every float answer is unchanged.  The array path computes
+    its normaliser with numpy on each call: numpy's expm1 may differ from
+    libm's in the last bit, so the bound one would move the oracles' grid
+    values.
+    """
+
+    __slots__ = ("base", "lam", "_lo", "_hi", "_k", "_flat", "_z")
 
     def __init__(self, base: UniformInterval, lam: float) -> None:
         if not isinstance(base, UniformInterval):
@@ -191,28 +202,36 @@ class ExponentialTilt(TypeDistribution, Record):
             raise DomainError(f"tilt parameter must be finite, got {lam}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "lam", lam)
+        lo, hi = base.support
+        k = -abs(lam)
+        object.__setattr__(self, "_lo", lo)
+        object.__setattr__(self, "_hi", hi)
+        object.__setattr__(self, "_k", k)
+        # Flat in double; expm1 would go subnormal.
+        object.__setattr__(self, "_flat", abs(lam) * (hi - lo) < 1e-17)
+        object.__setattr__(self, "_z", math.expm1(k * (hi - lo)))
 
     @property
     def support(self) -> Tuple[float, float]:
-        return self.base.support
+        return (self._lo, self._hi)
 
     def _share(self, x: float, y: float, m=math) -> float:
         """P(x <= theta <= y) for lo <= x <= y <= hi; each exponent is -|lam| *
         distance.  m is math, or numpy for array ends."""
-        lo, hi = self.support
-        if abs(self.lam) * (hi - lo) < 1e-17:  # flat in double; expm1 would go subnormal
+        lo, hi, k = self._lo, self._hi, self._k
+        if self._flat:
             return (y - x) / (hi - lo)
-        k = -abs(self.lam)
         gap = hi - y if self.lam > 0.0 else x - lo
-        return m.exp(k * gap) * m.expm1(k * (y - x)) / m.expm1(k * (hi - lo))
+        z = self._z if m is math else m.expm1(k * (hi - lo))
+        return m.exp(k * gap) * m.expm1(k * (y - x)) / z
 
     def _mean_from(self, a: float) -> float:
         """E[theta | theta >= a] for lo <= a <= hi."""
-        _, hi = self.support
+        hi = self._hi
         return a + (hi - a) * _tilt_mean_share(self.lam * (hi - a))
 
     def cdf(self, x: float) -> float:
-        lo, hi = self.support
+        lo, hi = self._lo, self._hi
         if not isinstance(x, float) and not isinstance(x, int):
             import numpy as np
 
@@ -221,10 +240,10 @@ class ExponentialTilt(TypeDistribution, Record):
         return self._share(lo, min(max(x, lo), hi))
 
     def mean(self) -> float:
-        return self._mean_from(self.support[0])
+        return self._mean_from(self._lo)
 
     def upper_partial_mean(self, s: float) -> float:
-        lo, hi = self.support
+        lo, hi = self._lo, self._hi
         if not isinstance(s, float) and not isinstance(s, int):
             import numpy as np
 
@@ -236,13 +255,12 @@ class ExponentialTilt(TypeDistribution, Record):
         return self._share(a, hi) * self._mean_from(a)
 
     def mass_above(self, s: float) -> float:
-        lo, hi = self.support
+        lo, hi = self._lo, self._hi
         return self._share(min(max(s, lo), hi), hi)
 
     def cond_mean_above(self, s: float) -> float:
-        lo, hi = self.support
-        a = max(s, lo)
-        if self._share(a, hi) <= _MASS_EPS:  # mass_above(s) for s <= hi
+        a = min(max(s, self._lo), self._hi)  # above hi a huge tilt's expm1 overflows
+        if self._share(a, self._hi) <= _MASS_EPS:  # mass_above(s)
             raise FullMassBelowError(f"no mass above s={s!r}")
         return self._mean_from(a)
 

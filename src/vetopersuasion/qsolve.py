@@ -87,6 +87,10 @@ def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
         return True
     if mean <= 0.0:
         return False
+    # An affine u has A = 0 > theta_lo, but a small mean can round A(E[theta])
+    # below a theta_lo that is within rounding of 0.
+    if _anchor(0.5, prefs) >= 0.0:
+        return False
     return _anchor(mean, prefs) <= theta_lo
 
 

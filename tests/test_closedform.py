@@ -111,6 +111,8 @@ def test_linear_case_uniform():
 @example(-1.1125369292536007e-308, 1.0)  # the mean rounds to 1/2
 @example(-1.0, 1.9999999999999998)  # the corner root lies 2 ulp above theta_lo
 @example(-0.99999, 1e-12)  # 1 - cdf(0) reads 9.99978e-13 for a mass of 1.00001e-12
+# A(E[theta]) rounds below theta_lo although u is affine; 1.3e-7 of mass lies below 0.
+@example(-5.678096059091036e-20, 4.296198146497436e-13)
 def test_linear_case_uniform_matches_the_solver(lo, hi):
     cut, accept = linear_case_uniform(lo, hi)
     r = solve_persuasion_first(UniformInterval(lo, hi), Linear())

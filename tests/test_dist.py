@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vetopersuasion import (
     DomainError,
@@ -27,6 +27,14 @@ def _tilt_reference(d, s):
 
     def integral(x, y, moment, peak):
         f = lambda t: (t if moment else 1.0) * math.exp(lam * (t - peak))
+        if moment and x < 0.0 < y:
+            # The first moment cancels across 0; one rule over both signs
+            # reports roundoff instead of converging.
+            return integral(x, 0.0, moment, peak) + integral(0.0, y, moment, peak)
+        if y - x <= 1e-9 * max(1.0, abs(x), abs(y)):
+            # A few ulps wide, the rule's nodes collapse and it reports bad
+            # behaviour; the midpoint rule is within 1e-15 of f's integral there.
+            return f(0.5 * (x + y)) * (y - x)
         return quad(f, x, y, epsabs=1e-15, epsrel=1e-13, limit=200)[0]
 
     peak = hi if lam > 0.0 else lo
@@ -151,6 +159,7 @@ class TestTilt:
         st.floats(-50.0, 50.0),
         st.floats(0.0, 1.0),
     )
+    @example(-2.0, 1.0, 16.0, 8.9e-16)  # cdf over an interval 12 ulps wide
     def test_closed_forms_match_quadrature(self, lo, hi, lam, frac):
         d = lr_tilt(UniformInterval(lo, hi), lam)
         _assert_matches_reference(d, lo + frac * (hi - lo))
@@ -304,3 +313,96 @@ class TestArrayForms:
             warnings.simplefilter("error")
             got = _tilt_mean_share_array(np.array(us, dtype=float))
         assert np.all(np.abs(got - [_tilt_mean_share(u) for u in us]) <= 4 * EPS)
+
+
+def _share_per_call(d, x, y):
+    """ExponentialTilt._share on floats as each call once computed it: -|lam|,
+    the flat check and the normaliser recomputed from base and lam."""
+    lo, hi = d.base.support
+    if abs(d.lam) * (hi - lo) < 1e-17:
+        return (y - x) / (hi - lo)
+    k = -abs(d.lam)
+    gap = hi - y if d.lam > 0.0 else x - lo
+    return math.exp(k * gap) * math.expm1(k * (y - x)) / math.expm1(k * (hi - lo))
+
+
+def _mean_from_per_call(d, a):
+    _, hi = d.base.support
+    return a + (hi - a) * _tilt_mean_share(d.lam * (hi - a))
+
+
+def _queries_per_call(d, s):
+    """cdf(s), mass_above(s), upper_partial_mean(s), mean() and
+    cond_mean_above(s) (or FullMassBelowError) by the per-call formulas;
+    cond_mean_above clips s at hi, as the unclipped form overflowed above the
+    support under a huge tilt."""
+    lo, hi = d.base.support
+    a = min(max(s, lo), hi)
+    cond = (FullMassBelowError if _share_per_call(d, a, hi) <= 1e-12
+            else _mean_from_per_call(d, a))
+    return (_share_per_call(d, lo, a), _share_per_call(d, a, hi),
+            _share_per_call(d, a, hi) * _mean_from_per_call(d, a),
+            _mean_from_per_call(d, lo), cond)
+
+
+def _queries(d, s):
+    try:
+        cond = d.cond_mean_above(s)
+    except FullMassBelowError:
+        cond = FullMassBelowError
+    return d.cdf(s), d.mass_above(s), d.upper_partial_mean(s), d.mean(), cond
+
+
+class TestTiltKernel:
+    """Constants bound at construction: every float query is the per-call
+    formula's answer bit for bit, and no query walks back to the base."""
+
+    @settings(deadline=None)
+    @given(
+        st.floats(1e-3, 3.0),
+        st.floats(1e-3, 4.0),
+        st.one_of(st.floats(-50.0, 50.0),
+                  st.sampled_from([sign * x for sign in (1.0, -1.0)
+                                   for x in (0.0, 1e-300, 700.0, 1e308)])),
+        st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=10),
+    )
+    def test_float_queries_are_the_per_call_formulas_bit_for_bit(self, hi, width, lam, fracs):
+        d = ExponentialTilt(UniformInterval(hi - width, hi), lam)
+        assert d.support == d.base.support
+        for s in [hi - width, hi] + [hi - width + f * width for f in fracs]:
+            assert list(map(repr, _queries(d, s))) == list(map(repr, _queries_per_call(d, s)))
+
+    @pytest.mark.parametrize("lam", [800.0, -800.0, 1e308, -1e308])
+    @pytest.mark.parametrize("s", [1.0, 1.0000000000000002, 2.0])
+    def test_no_mass_above_the_support_under_a_huge_tilt(self, lam, s):
+        # Unclipped, s > hi made expm1(-|lam| (hi - s)) overflow.
+        with pytest.raises(FullMassBelowError):
+            lr_tilt(UniformInterval(-1.0, 1.0), lam).cond_mean_above(s)
+
+    def test_queries_read_no_base_support_and_one_expm1_per_cdf(self, monkeypatch):
+        d = lr_tilt(UniformInterval(-1.5, 0.6), 0.5)
+        reads, expm1s = [0], [0]
+        support = UniformInterval.support.fget
+
+        def counted_support(self):
+            reads[0] += 1
+            return support(self)
+
+        def counted_expm1(x, plain=math.expm1):
+            expm1s[0] += 1
+            return plain(x)
+
+        monkeypatch.setattr(UniformInterval, "support", property(counted_support))
+        monkeypatch.setattr(math, "expm1", counted_expm1)
+        for k in range(200):  # 1,000 queries
+            s = -1.6 + k * 0.011
+            d.cdf(s), d.mass_above(s), d.upper_partial_mean(s), d.mean()
+            try:
+                d.cond_mean_above(s)
+            except FullMassBelowError:
+                pass
+        assert d.support == (-1.5, 0.6) and reads[0] == 0
+        expm1s[0] = 0
+        for k in range(1000):
+            d.cdf(-1.5 + k * 0.002)
+        assert expm1s[0] == 1000  # the numerator's; the normaliser is bound

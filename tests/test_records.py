@@ -48,3 +48,18 @@ def test_record_parity(cls, fields, text):
         with pytest.raises(AttributeError):
             setattr(a, name, 0.0)
     assert {k: getattr(a, k) for k in fields} == fields
+
+
+def test_a_tilts_bound_constants_are_not_fields():
+    d = ExponentialTilt(UniformInterval(-1.5, 0.6), -3.25)
+    assert d._fields() == ["base", "lam"]
+    assert [f for f in ExponentialTilt.__slots__ if f not in d._fields()] == [
+        "_lo", "_hi", "_k", "_flat", "_z"]
+    e = pickle.loads(pickle.dumps(d))
+    assert e == d and repr(e) == repr(d) and hash(e) == hash(d)
+    for s in (-2.0, -1.5, -0.4, 0.0, 0.599, 0.6, 1.0):
+        got = [e.cdf(s), e.mass_above(s), e.upper_partial_mean(s), e.mean(), e.support]
+        assert repr(got) == repr([d.cdf(s), d.mass_above(s), d.upper_partial_mean(s),
+                                  d.mean(), d.support])
+        if s < 0.6:
+            assert e.cond_mean_above(s).hex() == d.cond_mean_above(s).hex()
