@@ -381,7 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="comparative-statics sweep to CSV")
     p.add_argument("kind", choices=sorted(_SWEEPS))
-    p.add_argument("--values", default=None, help="comma-separated parameter values")
+    p.add_argument("--values", default=None, help="comma-separated parameter values; "
+                   "write a list that starts with - as --values=-1,0,1")
     common(p, cmd_sweep)
 
     p = sub.add_parser("figure", help="emit figure data as CSV")

@@ -200,14 +200,18 @@ def solve_persuasion_first(
 def _cutoff_map(d: TypeDistribution) -> Callable[[float], float]:
     """target_mean -> the smallest s with E[theta | theta >= s] >= target_mean,
     at most the cap just below theta_hi: exact for a uniform prior, whose
-    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection otherwise."""
+    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection otherwise.
+    Mass above s never grows as s rises, and the bisection reads below the
+    cap, so if over 2 _MASS_EPS (twice, for rounding) lies above the cap, a
+    test made once per solve, it reads the tilt's unchecked _mean_from."""
     theta_lo, theta_hi = d.support
     mean_lo = d.cond_mean_above(theta_lo)
     cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
     if isinstance(d, UniformInterval):
         return lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap)
+    mean_above = d._mean_from if d.mass_above(cap) > 2.0 * _MASS_EPS else d.cond_mean_above
     return lambda t: (theta_lo if mean_lo >= t
-                      else bisect_rising(d.cond_mean_above, t, theta_lo, cap)[1])
+                      else bisect_rising(mean_above, t, theta_lo, cap)[1])
 
 
 def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:

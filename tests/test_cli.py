@@ -230,6 +230,20 @@ def test_sweep_custom_values(capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+def test_sweep_negative_values_need_the_equals_form(capsys):
+    # argparse reads a list that starts with - as an option, so the spaced
+    # form is a usage error and only --values=-1,0,1 reaches the sweep.
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep", "tilt", "--values", "-1,0,1"])
+    assert exc.value.code == 2
+    assert "expected one argument" in capsys.readouterr().err
+    code, out, _ = run(capsys, "sweep", "tilt", "--values=-1,0,1")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "parameter,s_star,s_upper,F_s_star,value,monotone"
+    assert [line.split(",", 1)[0] for line in lines[1:]] == ["-1", "0", "1"]
+
+
 @pytest.mark.parametrize("values", ["2.5", "3"])
 def test_sweep_tilt_without_a_cutoff(capsys, values):
     # Tilts this strong put the prior in a regime with no cutoff; the row

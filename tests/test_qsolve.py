@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from vetopersuasion import (
     AssumptionViolatedError,
     Exponential,
+    ExponentialTilt,
     FiniteAtoms,
     FullMassBelowError,
     Linear,
@@ -236,6 +238,44 @@ def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
         calls.clear()
         _acceptance_cutoff(d, target)
         assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("d,unchecked", [
+    (lr_tilt(UniformInterval(-0.2, 0.3), 3.0), True),  # 3.9e-12 of mass above the cap
+    (lr_tilt(U11, -1.0), False),  # 1.6e-13 above the cap
+    (lr_tilt(U11, 700.0), True),
+    (lr_tilt(U11, -700.0), False),
+])
+def test_tilted_acceptance_cutoff_is_the_checked_bisection_bit_for_bit(d, unchecked, monkeypatch):
+    # Over 2 _MASS_EPS above the cap: the bisection reads the unchecked mean,
+    # and cond_mean_above runs only for E[theta | theta >= theta_lo].  Either
+    # way each cutoff, and each FullMassBelowError, is the checked bisection's.
+    lo, hi = d.support
+    cap = hi - 1e-12 * max(1.0, abs(hi))
+    assert (d.mass_above(cap) > 2.0 * qsolve._MASS_EPS) is unchecked
+    calls = []
+    checked = ExponentialTilt.cond_mean_above
+    monkeypatch.setattr(ExponentialTilt, "cond_mean_above",
+                        lambda self, s: calls.append(s) or checked(self, s))
+    rng = random.Random(0)
+    targets = [lo + rng.random() * (hi - lo) for _ in range(200)]
+    targets += [hi - 10.0 ** -k for k in range(1, 13)] + [math.nextafter(hi, lo)]
+    raised = 0
+    for t in targets:
+        try:
+            expected = _bisected_acceptance_cutoff(d, t)
+        except FullMassBelowError:
+            expected = FullMassBelowError
+        calls.clear()
+        try:
+            got = _acceptance_cutoff(d, t)
+        except FullMassBelowError:
+            got = FullMassBelowError
+        assert repr(got) == repr(expected), t
+        raised += got is FullMassBelowError
+        if unchecked:
+            assert len(calls) == 1
+    assert (raised == 0) is unchecked
 
 
 def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
