@@ -188,8 +188,8 @@ class ExponentialTilt(TypeDistribution, Record):
     computed, so every float answer is unchanged.  The array path computes
     its normaliser with numpy on each call: numpy's expm1 may differ from
     libm's in the last bit, so the bound one would move the oracles' grid
-    values.  Float upper_partial_mean and cond_mean_above read the mass above
-    a and the mean share off one math.expm1(k (hi - a)) (see _tail)."""
+    values.  Float upper_partial_mean and cond_mean_above read _share(a, hi)
+    and _mean_from(a) at a = s clipped to [lo, hi]."""
 
     __slots__ = ("base", "lam", "_lo", "_hi", "_k", "_flat", "_z")
 
@@ -226,23 +226,11 @@ class ExponentialTilt(TypeDistribution, Record):
         return m.exp(k * gap) * m.expm1(k * (y - x)) / z
 
     def _mean_from(self, a: float) -> float:
-        """E[theta | theta >= a] for lo <= a <= hi."""
+        """E[theta | theta >= a] for lo <= a <= hi: a + (hi - a) times the
+        mean share, which divides by no mass, so it holds however little
+        mass lies above a."""
         hi = self._hi
         return a + (hi - a) * _tilt_mean_share(self.lam * (hi - a))
-
-    def _tail(self, s: float) -> Tuple[float, float]:
-        """(_share(a, hi), _mean_from(a)) bit for bit, at a = s clipped to [lo, hi]."""
-        lo, hi, lam, k = self._lo, self._hi, self.lam, self._k
-        a = lo if s < lo else hi if s > hi else s  # past hi, a huge tilt's expm1 overflows
-        h = hi - a
-        u = lam * h
-        e = math.expm1(k * h)  # expm1(-|u|): the mass's numerator, and the share's
-        mass = (h / (hi - lo) if self._flat
-                else math.exp(k * (0.0 if lam > 0.0 else a - lo)) * e / self._z)
-        if abs(u) < _SERIES_U:  # a flat tilt's |u| is below 1e-17
-            return mass, a + h * _tilt_mean_share(u)
-        share = 1.0 / -e - 1.0 / abs(u)  # _tilt_mean_share(|u|)
-        return mass, a + h * (1.0 - share if u < 0.0 else share)
 
     def cdf(self, x: float) -> float:
         lo, hi = self._lo, self._hi
@@ -265,18 +253,19 @@ class ExponentialTilt(TypeDistribution, Record):
             with np.errstate(over="ignore"):  # a huge lam's exponents: -inf, as on floats
                 mean = a + (hi - a) * _tilt_mean_share_array(self.lam * (hi - a))  # _mean_from
                 return self._share(a, hi, np) * mean
-        mass, mean = self._tail(s)
-        return mass * mean
+        a = lo if s < lo else hi if s > hi else s  # past hi, a huge tilt's expm1 overflows
+        return self._share(a, hi) * self._mean_from(a)
 
     def mass_above(self, s: float) -> float:
         lo, hi = self._lo, self._hi
         return self._share(min(max(s, lo), hi), hi)
 
     def cond_mean_above(self, s: float) -> float:
-        mass, mean = self._tail(s)
-        if mass <= _MASS_EPS:  # mass_above(s)
+        lo, hi = self._lo, self._hi
+        a = lo if s < lo else hi if s > hi else s
+        if self._share(a, hi) <= _MASS_EPS:  # mass_above(s)
             raise FullMassBelowError(f"no mass above s={s!r}")
-        return mean
+        return self._mean_from(a)
 
 
 def lr_tilt(d: TypeDistribution | FiniteAtoms, lam: float) -> TypeDistribution | FiniteAtoms:

@@ -170,11 +170,14 @@ def three_type_values(
     """No-info, full-info, and best-binary-signal payoffs for three atoms.
 
     prior = (w0, wl) on levels (0, ell, h); the residual weight sits on h.
-    The binary-signal search restricts to the two parametric families that
-    can be optimal when types are ordered: either the highest two types
-    always send the high signal and type 0 mixes, or type 0 never sends it,
-    the top type always does, and the middle type mixes.  _numeric.grid_max
-    maximizes each branch on the 2-point grid of its interval's ends.
+    The binary-signal search is restricted to two parametric families:
+    either the highest two types always send the high signal and type 0
+    mixes, or type 0 never sends it, the top type always does, and the
+    middle type mixes.  Off Linear loss the best binary signal can lie
+    outside both, so v_bestbinary is only a lower bound on its value.
+    _numeric.grid_max maximizes each branch on the 2-point grid of its
+    interval's ends; on Linear loss that polish can miss a family's kinked
+    peak.
     """
     if len(prior) != 2 or len(levels) != 3:
         raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")

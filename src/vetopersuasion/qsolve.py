@@ -25,9 +25,7 @@ from typing import Callable, Optional, Tuple
 from ._numeric import bisect_rising, brentq, grid_max, linspace
 from ._record import Record
 from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
-from .errors import (
-    AssumptionViolatedError, FullMassBelowError, NoRootError, UnsupportedCombinationError,
-)
+from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
 
 _GOLDEN_TOL = 1e-12
@@ -200,28 +198,24 @@ def solve_persuasion_first(
 def _cutoff_map(d: TypeDistribution) -> Callable[[float], float]:
     """target_mean -> the smallest s with E[theta | theta >= s] >= target_mean,
     at most the cap just below theta_hi: exact for a uniform prior, whose
-    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection otherwise.
-    Mass above s never grows as s rises, and the bisection reads below the
-    cap, so if over 2 _MASS_EPS (twice, for rounding) lies above the cap, a
-    test made once per solve, it reads the tilt's unchecked _mean_from."""
+    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection on the
+    tilt's _mean_from otherwise.  That mean, s + (theta_hi - s) times a share,
+    divides by no mass, so no probe raises; a cutoff that leaves no mass
+    reads 1 - cdf(s) = 0 in the objective."""
     theta_lo, theta_hi = d.support
     mean_lo = d.cond_mean_above(theta_lo)
     cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
     if isinstance(d, UniformInterval):
         return lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap)
-    mean_above = d._mean_from if d.mass_above(cap) > 2.0 * _MASS_EPS else d.cond_mean_above
     return lambda t: (theta_lo if mean_lo >= t
-                      else bisect_rising(mean_above, t, theta_lo, cap)[1])
+                      else bisect_rising(d._mean_from, t, theta_lo, cap)[1])
 
 
-def _acceptance_cutoff(d: TypeDistribution, target_mean: float) -> float:
-    return _cutoff_map(d)(target_mean)
-
-
-def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences) -> Callable[[float], float]:
+def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences,
+                    cutoff: Callable[[float], float]) -> Callable[[float], float]:
     """p -> the best attainable payoff from committing to proposal p, then
     choosing the experiment that maximizes its acceptance probability."""
-    c1, mean, (_, theta_hi), cutoff = prefs.loss(1.0), d.mean(), d.support, _cutoff_map(d)
+    c1, mean, (_, theta_hi) = prefs.loss(1.0), d.mean(), d.support
     two_mean, two_hi, utility, cdf = 2.0 * mean, 2.0 * theta_hi, prefs.utility, d.cdf
 
     def value(p: float) -> float:
@@ -231,11 +225,7 @@ def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences) -> Callable
             return utility(p)
         if p >= two_hi:
             return -c1
-        try:
-            s = cutoff(0.5 * p)
-        except FullMassBelowError:  # the cutoff leaves at most _MASS_EPS of mass
-            return -c1
-        accept = 1.0 - cdf(s)
+        accept = 1.0 - cdf(cutoff(0.5 * p))
         return accept * utility(p) + (1.0 - accept) * (-c1)
 
     return value
@@ -261,11 +251,12 @@ def solve_proposal_first(
     # linspace ends on min(2 theta_hi, 1) exactly: 800 steps can round an ulp
     # short of 2 theta_hi, past the p >= 2 theta_hi guard of _proposal_value.
     grid = linspace(0.0, min(2.0 * theta_hi, 1.0), 801)
-    p_opt, value = grid_max(_proposal_value(d, prefs), grid, _GOLDEN_TOL)
+    cutoff = _cutoff_map(d)
+    p_opt, value = grid_max(_proposal_value(d, prefs, cutoff), grid, _GOLDEN_TOL)
 
     if mean > 0.0 and p_opt <= 2.0 * mean + 1e-9:
         return SolveOutcome(Regime.NO_INFO, None, None, p_opt, value, 0.0)
-    s_star = _acceptance_cutoff(d, 0.5 * p_opt)
+    s_star = cutoff(0.5 * p_opt)
     return SolveOutcome(
         Regime.BINARY_CUTOFF, s_star, 0.5 * p_opt, p_opt, value, d.cdf(s_star)
     )

@@ -207,6 +207,15 @@ def test_solve_extreme_tilt(capsys, timing):
     assert json.loads(out)["regime"] == "IdealAccepted"
 
 
+def test_solve_steep_negative_tilt_proposal_first(capsys):
+    # Under 1e-12 of mass lies above cutoffs far below theta_hi; the cutoff
+    # bisection once raised there, so proposal-first exited 2.
+    code, _, err = run(capsys, "solve", "quad", "proposal-first",
+                       "tilt:uniform:-0.4242106756443901,0.23004268647622084;-62.278208417747805",
+                       "linear")
+    assert code == 0 and err == ""
+
+
 def test_solve_extreme_atom_tilt(capsys):
     code, _, _ = run(
         capsys, "solve", "linear2", "persuasion-first", "tilt:atoms:0.1:.8,0.7:.2;2000", "linear"

@@ -406,11 +406,3 @@ class TestTiltKernel:
         for k in range(1000):
             d.cdf(-1.5 + k * 0.002)
         assert expm1s[0] == 1000  # the numerator's; the normaliser is bound
-        # Off the series branch, |lam (hi - s)| >= 0.25, the mass above s and
-        # the mean share read one expm1 between them, on either side of 0.
-        for tilt in (d, lr_tilt(UniformInterval(-1.5, 0.6), -0.5)):
-            for query in (tilt.cond_mean_above, tilt.upper_partial_mean):
-                expm1s[0] = 0
-                for k in range(500):
-                    query(-1.5 + k * 0.002)  # |lam (hi - s)| >= 0.55
-                assert expm1s[0] == 500, (tilt.lam, query.__name__)

@@ -205,6 +205,8 @@ NUMPY_FREE_COMMANDS = [
       for t in ("persuasion-first", "proposal-first")),
     *(["solve", "quad", t, "tilt:uniform:-1,1;-0.5", "power:2"]
       for t in ("persuasion-first", "proposal-first")),
+    ["solve", "quad", "proposal-first",
+     "tilt:uniform:-0.4242106756443901,0.23004268647622084;-62.278208417747805", "linear"],
     *(["solve", "linear2", t, "atoms:0.1:.8,0.7:.2", "linear"]
       for t in ("persuasion-first", "proposal-first")),
     ["solve", "linear3", "proposal-first", "atoms:0:.7,0.1:.2,0.5:.1", "linear"],

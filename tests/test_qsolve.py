@@ -29,7 +29,7 @@ from vetopersuasion._numeric import bisect_rising, brentq
 from vetopersuasion.closedform import linear_case_uniform, u_bi
 from vetopersuasion.oracle import _partition_value, verify_certificate
 from vetopersuasion.prefs import ProposerPreferences
-from vetopersuasion.qsolve import _acceptance_cutoff
+from vetopersuasion.qsolve import _cutoff_map
 
 U11 = UniformInterval(-1.0, 1.0)
 SQ = Power(2.0)
@@ -170,6 +170,7 @@ UNIFORMS = st.builds(
     UniformInterval, st.floats(-2.0, -0.05), st.floats(0.0, 1.0, exclude_min=True)
 )
 TILTS = st.builds(lr_tilt, UNIFORMS, st.floats(-3.0, 3.0))
+STEEP_TILTS = st.builds(lr_tilt, UNIFORMS, st.floats(-800.0, 800.0))
 LOSSES = st.one_of(
     st.just(Linear()),
     st.floats(1.0, 3.0).map(Power),
@@ -219,9 +220,9 @@ def test_uniform_acceptance_cutoff_matches_bisection(d, frac):
         expected = _bisected_acceptance_cutoff(d, target)
     except FullMassBelowError:
         # Bisection probed the last 1e-12 of mass; the closed form needs no probe.
-        assert 1.0 - d.cdf(_acceptance_cutoff(d, target)) <= 1e-11
+        assert 1.0 - d.cdf(_cutoff_map(d)(target)) <= 1e-11
         return
-    assert _acceptance_cutoff(d, target) == pytest.approx(expected, abs=1e-12)
+    assert _cutoff_map(d)(target) == pytest.approx(expected, abs=1e-12)
 
 
 def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
@@ -236,46 +237,51 @@ def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
     d = UniformInterval(-1.0, 0.8)
     for target in (-0.5, 0.0, 0.1, 0.4, 0.79, 0.8):
         calls.clear()
-        _acceptance_cutoff(d, target)
+        _cutoff_map(d)(target)
         assert len(calls) <= 1
 
 
-@pytest.mark.parametrize("d,unchecked", [
-    (lr_tilt(UniformInterval(-0.2, 0.3), 3.0), True),  # 3.9e-12 of mass above the cap
-    (lr_tilt(U11, -1.0), False),  # 1.6e-13 above the cap
-    (lr_tilt(U11, 700.0), True),
-    (lr_tilt(U11, -700.0), False),
+# A steep negative tilt leaves under 1e-12 of mass well below theta_hi, so a
+# bisection on the checked cond_mean_above raises before it finds the cutoff.
+STEEP = lr_tilt(UniformInterval(-0.4242106756443901, 0.23004268647622084), -62.278208417747805)
+
+
+@pytest.mark.parametrize("d,checked_raises", [
+    (lr_tilt(UniformInterval(-0.2, 0.3), 3.0), False),  # 3.9e-12 of mass above the cap
+    (lr_tilt(U11, -1.0), True),  # 1.6e-13 above the cap
+    (lr_tilt(U11, 700.0), False),
+    (lr_tilt(U11, -700.0), True),
+    (STEEP, True),
 ])
-def test_tilted_acceptance_cutoff_is_the_checked_bisection_bit_for_bit(d, unchecked, monkeypatch):
-    # Over 2 _MASS_EPS above the cap: the bisection reads the unchecked mean,
-    # and cond_mean_above runs only for E[theta | theta >= theta_lo].  Either
-    # way each cutoff, and each FullMassBelowError, is the checked bisection's.
+def test_tilted_cutoff_map_never_raises_and_is_the_checked_bisection(d, checked_raises,
+                                                                     monkeypatch):
+    # The map bisects on _mean_from, which divides by no mass: it answers
+    # every target, reads cond_mean_above only for E[theta | theta >= theta_lo]
+    # when it is bound, and equals the checked bisection bit for bit wherever
+    # that returns.
     lo, hi = d.support
     cap = hi - 1e-12 * max(1.0, abs(hi))
-    assert (d.mass_above(cap) > 2.0 * qsolve._MASS_EPS) is unchecked
     calls = []
     checked = ExponentialTilt.cond_mean_above
     monkeypatch.setattr(ExponentialTilt, "cond_mean_above",
                         lambda self, s: calls.append(s) or checked(self, s))
+    cutoff = _cutoff_map(d)
+    assert len(calls) == 1
+    monkeypatch.setattr(ExponentialTilt, "cond_mean_above", checked)
     rng = random.Random(0)
     targets = [lo + rng.random() * (hi - lo) for _ in range(200)]
     targets += [hi - 10.0 ** -k for k in range(1, 13)] + [math.nextafter(hi, lo)]
     raised = 0
     for t in targets:
+        got = cutoff(t)
+        assert lo <= got <= cap
         try:
             expected = _bisected_acceptance_cutoff(d, t)
         except FullMassBelowError:
-            expected = FullMassBelowError
-        calls.clear()
-        try:
-            got = _acceptance_cutoff(d, t)
-        except FullMassBelowError:
-            got = FullMassBelowError
+            raised += 1
+            continue
         assert repr(got) == repr(expected), t
-        raised += got is FullMassBelowError
-        if unchecked:
-            assert len(calls) == 1
-    assert (raised == 0) is unchecked
+    assert (raised > 0) is checked_raises
 
 
 def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
@@ -343,26 +349,30 @@ def test_solve_cutoff_matches_bisection(d, prefs):
         assert s_upper == d.cond_mean_above(s_star)
 
 
+def _assert_timings_agree(d, prefs):
+    # Past _trivial_outcome both timings solve, and their values agree.
+    pf = solve_persuasion_first(d, prefs)
+    pp = solve_proposal_first(d, prefs)
+    assert abs(pp.value - pf.value) <= 1e-9 * max(1.0, prefs.loss(1.0))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.one_of(UNIFORMS, TILTS), LOSSES)
 # theta_hi near 0: proposal-first's acceptance cutoffs near theta_hi leave
-# no float mass above them, yet persuasion-first solves.
+# no float mass above them, and the objective reads an acceptance of 0 there.
 @example(lr_tilt(UniformInterval(-1.53, 1e-10), 1e-10), Linear())
 @example(lr_tilt(UniformInterval(-1.53, 1e-10), 1e-10), Exponential(5e-324))
+# Under 1e-12 of mass lies above cutoffs far below theta_hi: the cutoff
+# bisection must not check the mass at its probes.
+@example(STEEP, Linear())
 def test_timings_agree_property(d, prefs):
-    # The two timings solve or refuse together; where both solve, their
-    # values agree.
-    outcomes = []
-    for solve in (solve_persuasion_first, solve_proposal_first):
-        try:
-            outcomes.append(solve(d, prefs))
-        except FullMassBelowError:
-            outcomes.append(None)
-    pf, pp = outcomes
-    assert (pf is None) == (pp is None)
-    if pf is None:
-        return
-    assert abs(pp.value - pf.value) <= 1e-9 * max(1.0, prefs.loss(1.0))
+    _assert_timings_agree(d, prefs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(STEEP_TILTS, LOSSES)
+def test_timings_agree_on_steep_tilts(d, prefs):
+    _assert_timings_agree(d, prefs)
 
 
 @pytest.mark.parametrize(
