@@ -160,7 +160,7 @@ def _tilt_mean_share(u: float) -> float:
             acc = acc * u2 + c
         return 0.5 + u * acc
     if u < 0.0:  # mirror image, so the exponent stays negative
-        return 1.0 - _tilt_mean_share(-u)
+        return 1.0 - (1.0 / -math.expm1(u) - 1.0 / -u)
     return 1.0 / -math.expm1(-u) - 1.0 / u
 
 
@@ -239,7 +239,7 @@ class ExponentialTilt(TypeDistribution, Record):
 
             with np.errstate(over="ignore"):  # a huge lam's exponents: -inf, as on floats
                 return self._share(lo, np.minimum(np.maximum(x, lo), hi), np)
-        return self._share(lo, min(max(x, lo), hi))
+        return self._share(lo, lo if x < lo else hi if x > hi else x)
 
     def mean(self) -> float:
         return self._mean_from(self._lo)
@@ -258,7 +258,7 @@ class ExponentialTilt(TypeDistribution, Record):
 
     def mass_above(self, s: float) -> float:
         lo, hi = self._lo, self._hi
-        return self._share(min(max(s, lo), hi), hi)
+        return self._share(lo if s < lo else hi if s > hi else s, hi)
 
     def cond_mean_above(self, s: float) -> float:
         lo, hi = self._lo, self._hi

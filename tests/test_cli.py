@@ -1,9 +1,14 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import vetopersuasion
+from cli_corpus import PAPER3, ROWS, check
 from vetopersuasion.cli import build_parser, main
 
 
@@ -86,84 +91,6 @@ def test_json_output_is_byte_stable(capsys):
     assert first == second
 
 
-def test_bad_input_exit_code(capsys):
-    code, _, err = run(capsys, "solve", "quad", "persuasion-first", "gaussian:0,1", "linear")
-    assert code == 2
-    assert "error" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "1"),
-        ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1"),
-        ("figure", "1", "--grid", "-3"),
-        ("sweep", "tilt", "--values", "0,x"),
-        # exp(800) overflows a float, so the loss is not finite on [0, 1].
-        ("solve", "quad", "persuasion-first", "uniform:-1,1", "exp:800"),
-        # A grid of 1e9 points would need 8 GB or more: refused before any is built.
-        ("oracle", "linear2", "atoms:0.1:.5,0.7:.5", "linear", "--grid", "1000000000"),
-        ("figure", "1", "--grid", "1000000000"),
-        # --tol is a finite gap >= 0; NaN and -1 failed every check, inf passed them.
-        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "nan"),
-        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "-1"),
-        ("oracle", "quad", "uniform:-1,1", "power:2", "--grid", "50", "--tol", "inf"),
-        # Finite bounds whose width hi - lo overflows to inf.
-        ("solve", "quad", "persuasion-first", "uniform:-1e308,1e308", "linear"),
-        ("solve", "quad", "proposal-first", "uniform:-1e308,1e308", "linear"),
-        ("solve", "quad", "persuasion-first", "uniform:-1.7e308,1e308", "linear"),
-        ("solve", "quad", "proposal-first", "uniform:-1.7e308,1e308", "linear"),
-    ],
-)
-def test_bad_numeric_option_exit_code(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-
-
-@pytest.mark.parametrize(
-    "loss, reason",
-    [("exp:800", "overflows the loss"), ("power:0.5", "gamma >= 1")],
-)
-def test_bad_loss_names_the_reason(capsys, loss, reason):
-    code, out, err = run(capsys, "solve", "quad", "persuasion-first", "uniform:-1,1", loss)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and err.count("\n") == 1 and reason in err
-
-
-def test_oracle_linear2_tiny_scale(capsys):
-    # At this scale an absolute hull tolerance made persuasion-first
-    # lose to proposal-first (timing-order FAIL, exit 3).
-    code, out, _ = run(
-        capsys, "oracle", "linear2",
-        "atoms:9.030187855084931e-05:0.73235894692613523,"
-        "0.00034729390625454215:0.26764105307386477", "linear",
-    )
-    assert code == 0
-    assert "PASS timing-order" in out
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        # h > 1: the proposal h lies above p_bar = 1.
-        ("solve", "linear2", "proposal-first", "atoms:0.1:.9,1.5:.1", "linear"),
-        # exp(80 x) overflowed once the loss was evaluated past x = 1.
-        ("solve", "linear2", "proposal-first", "atoms:0.1:.8,0.7:.2", "exp:80"),
-        # Payoffs near c(1) ~ 6.5e127 differ only by rounding; the checks
-        # measure gaps in units of max(1, c(1)).
-        ("oracle", "linear2", "atoms:0.1:.8,0.7:.2", "exp:300"),
-        ("oracle", "quad", "uniform:-1,1", "exp:300"),
-        ("oracle", "linear3", "atoms:0:.7,0.1:.2,0.5:.1", "exp:300"),
-    ],
-)
-def test_large_scale_and_high_type_exit_0(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 0 and err == ""
-    assert "FAIL" not in out
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -189,38 +116,6 @@ def test_solve_linear2_high_type_near_the_float_limit(capsys):
         reports.append(json.loads(out))
     assert reports[0] == reports[1]
     assert reports[0]["value"] == pytest.approx(-0.2065, abs=1e-12)
-
-
-@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
-def test_solve_large_cara_loss(capsys, timing):
-    # exp(700) is still finite: it solves or fails with an input error.
-    code, _, _ = run(capsys, "solve", "quad", timing, "uniform:-1,1", "exp:700")
-    assert code in (0, 2)
-
-
-@pytest.mark.parametrize("timing", ["persuasion-first", "proposal-first"])
-def test_solve_extreme_tilt(capsys, timing):
-    code, out, _ = run(
-        capsys, "solve", "quad", timing, "tilt:uniform:-1,1;800", "power:2", "--json"
-    )
-    assert code == 0
-    assert json.loads(out)["regime"] == "IdealAccepted"
-
-
-def test_solve_steep_negative_tilt_proposal_first(capsys):
-    # Under 1e-12 of mass lies above cutoffs far below theta_hi; the cutoff
-    # bisection once raised there, so proposal-first exited 2.
-    code, _, err = run(capsys, "solve", "quad", "proposal-first",
-                       "tilt:uniform:-0.4242106756443901,0.23004268647622084;-62.278208417747805",
-                       "linear")
-    assert code == 0 and err == ""
-
-
-def test_solve_extreme_atom_tilt(capsys):
-    code, _, _ = run(
-        capsys, "solve", "linear2", "persuasion-first", "tilt:atoms:0.1:.8,0.7:.2;2000", "linear"
-    )
-    assert code in (0, 2)
 
 
 def test_sweep_csv(capsys, tmp_path):
@@ -258,7 +153,7 @@ def test_sweep_tilt_without_a_cutoff(capsys, values):
     # Tilts this strong put the prior in a regime with no cutoff; the row
     # reports the prior mean instead of crashing.
     code, out, err = run(capsys, "sweep", "tilt", "--values", values)
-    assert code in (0, 3)
+    assert code == 0
     assert err == ""
     lines = out.strip().splitlines()
     assert lines[0] == "parameter,s_star,s_upper,F_s_star,value,monotone"
@@ -324,17 +219,22 @@ def test_figure_five_peak(capsys):
     assert float(best[0]) == pytest.approx(0.7, abs=0.01)
 
 
-def test_oracle_quad_pass(capsys):
-    code, out, _ = run(capsys, "oracle", "quad", "uniform:-1,1", "power:2", "--grid", "150")
-    assert code == 0
-    assert "PASS price-certificate" in out
-    assert "PASS partition-search" in out
+def test_cli_corpus():
+    # The script that CI runs after an install without the test extra.
+    src = str(Path(vetopersuasion.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(Path(__file__).with_name("cli_corpus.py"))],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_oracle_no_info_message(capsys):
-    code, out, _ = run(capsys, "oracle", "quad", "uniform:-0.2,1", "power:2", "--grid", "150")
-    assert code == 0
-    assert "no improving partition found" in out
+# Out of the corpus, whose rows all meet the contract, until the oracle's
+# polish climbs the kink ridge to the solver's (0, 5/6, 1).
+@pytest.mark.xfail(strict=True, reason="the linear3 oracle's coordinate polish stalls: "
+                   "-0.8005 vs -0.8 (power:2), -1.43378 vs -1.43307 (exp:1)")
+@pytest.mark.parametrize("loss", ["power:2", "exp:1"])
+def test_oracle_linear3_paper_prior_under_a_curved_loss(loss):
+    assert check(f"oracle linear3 {PAPER3} {loss}", 0, None) == []
 
 
 def test_config_file(capsys, tmp_path):
@@ -403,6 +303,13 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for argv in examples:
         parser.parse_args(argv[1:])
+    # Each example also runs, as a corpus row that exits 0, once its --out FILE is dropped.
+    codes = {tuple(shlex.split(line)): code for line, code, _ in ROWS}
+    for argv in examples:
+        if "--out" in argv:
+            i = argv.index("--out")
+            del argv[i:i + 2]
+        assert codes.get(tuple(argv[1:])) == 0, argv
 
 
 def test_readme_cli_section_names_the_whole_syntax():

@@ -139,23 +139,10 @@ def _run_python(code):
                           text=True, timeout=60, check=True)
 
 
-def test_cli_import_loads_no_scipy():
-    code = ("import sys, vetopersuasion.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    assert _run_python(code).stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("module", ["vetopersuasion", "vetopersuasion.cli"])
-def test_import_loads_no_numpy(module):
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))")
-    assert _run_python(code).stdout.strip() == "[]"
-
-
-@pytest.mark.parametrize("module", ["vetopersuasion", "vetopersuasion.cli"])
-def test_import_loads_no_dataclasses_or_inspect(module):
-    code = (f"import sys, {module}; "
-            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+def test_package_import_loads_no_numpy_dataclasses_or_inspect():
+    # tests/cli_corpus.py checks the same, and scipy, of vetopersuasion.cli.
+    code = ("import sys, vetopersuasion; "
+            "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))")
     assert _run_python(code).stdout.strip() == "[]"
 
 
@@ -197,34 +184,6 @@ def test_oracle_loads_only_its_solver(model, dist, absent):
         f"print(code, *(m for m in {absent!r} if 'vetopersuasion.' + m in sys.modules))\n"
     )
     assert _run_python(code).stdout.split() == ["0"]
-
-
-# Every subcommand but oracle, with numpy made unimportable.
-NUMPY_FREE_COMMANDS = [
-    *(["solve", "quad", t, "uniform:-1,1", "power:2"]
-      for t in ("persuasion-first", "proposal-first")),
-    *(["solve", "quad", t, "tilt:uniform:-1,1;-0.5", "power:2"]
-      for t in ("persuasion-first", "proposal-first")),
-    ["solve", "quad", "proposal-first",
-     "tilt:uniform:-0.4242106756443901,0.23004268647622084;-62.278208417747805", "linear"],
-    *(["solve", "linear2", t, "atoms:0.1:.8,0.7:.2", "linear"]
-      for t in ("persuasion-first", "proposal-first")),
-    ["solve", "linear3", "proposal-first", "atoms:0:.7,0.1:.2,0.5:.1", "linear"],
-    *(["sweep", kind] for kind in ("risk-aversion", "tilt", "theta-hi")),
-    *(["figure", str(i)] for i in range(1, 7)),
-]
-
-
-def test_cli_runs_without_numpy():
-    code = (
-        "import contextlib, io, sys; sys.modules['numpy'] = None\n"
-        "from vetopersuasion.cli import main\n"
-        f"for argv in {NUMPY_FREE_COMMANDS!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        code = main(argv)\n"
-        "    print(code)\n"
-    )
-    assert _run_python(code).stdout.split() == ["0"] * len(NUMPY_FREE_COMMANDS)
 
 
 def test_oracle_imports_numpy_when_it_runs():
