@@ -228,6 +228,13 @@ def test_cli_corpus():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+@pytest.mark.parametrize("line, code, fragment", ROWS, ids=[row[0] for row in ROWS])
+def test_cli_corpus_row(line, code, fragment):
+    # Each row again, in this process, so a broken one fails under its own name;
+    # the script above adds the checks on what each row imports.
+    assert check(line, code, fragment) == []
+
+
 # Out of the corpus, whose rows all meet the contract, until the oracle's
 # polish climbs the kink ridge to the solver's (0, 5/6, 1).
 @pytest.mark.xfail(strict=True, reason="the linear3 oracle's coordinate polish stalls: "
