@@ -11,8 +11,8 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(["BinaryTypeEnv", "best_acceptable_proposal", "phi_threshold",
-                     "psi_cap"], "accept"),
+    **dict.fromkeys(["BinaryTypeEnv", "acceptance_root", "best_acceptable_proposal",
+                     "phi_threshold", "psi_cap"], "accept"),
     **dict.fromkeys(["ExponentialTilt", "FiniteAtoms", "TypeDistribution", "UniformInterval",
                      "dist_from_literal", "lr_tilt"], "dist"),
     **dict.fromkeys(["AssumptionViolatedError", "DomainError", "FullMassBelowError",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import NoRootError
+from .errors import DomainError, NoRootError
 
 # Bisection stops once the bracket is this narrow, or after _MAX_BISECT steps.
 _S_TOL = 1e-13
@@ -75,6 +75,17 @@ def grid_max(f: Callable[[float], float], xs: Sequence[float], tol: float,
     k = vals.index(max(vals))
     x, fx = golden_max(f, xs[max(k - 1, 0)], xs[min(k + 1, len(xs) - 1)], tol)
     return (x, fx) if fx >= vals[k] else (xs[k], vals[k])
+
+
+def three_weights(prior: Tuple[float, float]) -> Tuple[float, float, float]:
+    """(w0, w1, 1 - w0 - w1) for w0, w1 >= 0.  A residual in [-1e-12, 0) is rounding
+    (FiniteAtoms accepts sums within 1e-12 of 1) and reads as 0.0; lower raises."""
+    w0, w1 = prior
+    w2 = 1.0 - w0 - w1
+    w2 = 0.0 if -1e-12 <= w2 < 0.0 else w2
+    if min(w0, w1, w2) < 0.0:
+        raise DomainError(f"bad prior {prior}")
+    return w0, w1, w2
 
 
 def bisect_rising(

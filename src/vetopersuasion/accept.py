@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Sequence
+from operator import mul
+from typing import Callable, Sequence
 
 from ._record import Record
 from .errors import DomainError
@@ -78,38 +79,46 @@ def psi_cap(env: BinaryTypeEnv, mu: float) -> float:
     return 2.0 * ell * (1.0 - mu) / (1.0 - 2.0 * mu)
 
 
-def best_acceptable_proposal(
-    thetas: Sequence[float], weights: Sequence[float]
-) -> float:
+def acceptance_root(thetas: Sequence[float]) -> Callable[[Sequence[float]], float]:
+    """best_acceptable_proposal with the atoms checked, and p_bar, the breaks
+    and each atom's gain t - |p - t| = min(p, 2t - p) at each break fixed, once;
+    the closure checks the weights and sums their products with the gains."""
+    if not all(math.isfinite(t) for t in thetas):
+        raise DomainError("atom locations and weights must be finite")
+    if any(t < 0.0 for t in thetas):
+        raise DomainError("atom locations must be nonnegative here")
+    p_bar = min(2.0 * max(thetas), 1.0)
+    # Gains as a branch, not min(): 2t - p does not cancel against a huge t.
+    top = [p_bar if p_bar <= t else 2.0 * t - p_bar for t in thetas]
+    breaks = sorted({0.0, *(t for t in thetas if 0.0 < t < p_bar)}, reverse=True)
+    pieces = [(lo, [lo if lo <= t else 2.0 * t - lo for t in thetas]) for lo in breaks]
+
+    def root(weights: Sequence[float]) -> float:
+        if not all(map(math.isfinite, weights)):
+            raise DomainError("atom locations and weights must be finite")
+        if p_bar <= 0.0:
+            return 0.0
+        hi, hi_v = p_bar, sum(map(mul, weights, top))
+        if hi_v >= 0.0:
+            return p_bar
+        # A(0) = 0, so the scan stops at 0 at the latest.
+        for lo, gains in pieces:
+            lo_v = sum(map(mul, weights, gains))
+            if lo_v >= 0.0:
+                return lo + lo_v * (hi - lo) / (lo_v - hi_v)
+            hi, hi_v = lo, lo_v
+        return 0.0
+
+    return root
+
+
+def best_acceptable_proposal(thetas: Sequence[float], weights: Sequence[float]) -> float:
     """Largest p in [0, min(2*max theta, 1)] with V(p) >= V(0), absolute loss.
 
     A(p) = V(p) - V(0) is concave and piecewise linear with kinks at the
     atoms, and A(0) = 0, so the acceptance set is an interval [0, r]; r is
     found exactly on the linear pieces.  The kinks are read right to left,
     and A only until the first one it accepts: r lies on the piece above it.
+    Each call binds acceptance_root afresh; bind it once to reuse the atoms.
     """
-    if not all(math.isfinite(x) for x in (*thetas, *weights)):
-        raise DomainError("atom locations and weights must be finite")
-    if any(t < 0.0 for t in thetas):
-        raise DomainError("atom locations must be nonnegative here")
-    p_bar = min(2.0 * max(thetas), 1.0)
-    if p_bar <= 0.0:
-        return 0.0
-
-    def gap(p: float) -> float:
-        # Type t >= 0 gains t - |p - t| = min(p, 2t - p), which does not
-        # cancel against a huge t (written as a branch: no call per atom).
-        return sum(w * (p if p <= t else 2.0 * t - p) for t, w in zip(thetas, weights))
-
-    hi_v = gap(p_bar)
-    if hi_v >= 0.0:
-        return p_bar
-    breaks = sorted({0.0, *(t for t in thetas if 0.0 < t < p_bar)})
-    hi = p_bar
-    # A(0) = 0, so the scan stops at 0 at the latest.
-    for lo in reversed(breaks):
-        lo_v = gap(lo)
-        if lo_v >= 0.0:
-            return lo + lo_v * (hi - lo) / (lo_v - hi_v)
-        hi, hi_v = lo, lo_v
-    return 0.0
+    return acceptance_root(thetas)(weights)

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from ._numeric import golden_max, grid_max, linspace
+from ._numeric import golden_max, grid_max, linspace, three_weights
 from ._record import Record
 from .accept import (
     BinaryTypeEnv,
-    best_acceptable_proposal,
+    acceptance_root,
     phi_threshold,
     psi_cap,
 )
@@ -169,30 +169,27 @@ def three_type_values(
 ) -> ThreeTypeValues:
     """No-info, full-info, and best-binary-signal payoffs for three atoms.
 
-    prior = (w0, wl) on levels (0, ell, h); the residual weight sits on h.
-    The binary-signal search is restricted to two parametric families:
-    either the highest two types always send the high signal and type 0
-    mixes, or type 0 never sends it, the top type always does, and the
-    middle type mixes.  Off Linear loss the best binary signal can lie
-    outside both, so v_bestbinary is only a lower bound on its value.
+    prior = (w0, wl) on levels (0, ell, h); the residual weight sits on h
+    (_numeric.three_weights).  The binary-signal search is restricted to two
+    parametric families: either the highest two types always send the high
+    signal and type 0 mixes, or type 0 never sends it, the top type always
+    does, and the middle type mixes.  Off Linear loss the best binary signal
+    can lie outside both, so v_bestbinary is only a lower bound on its value.
     _numeric.grid_max maximizes each branch on the 2-point grid of its
     interval's ends; on Linear loss that polish can miss a family's kinked
-    peak.
+    peak.  The acceptance root is bound to the levels once for every posterior.
     """
     if len(prior) != 2 or len(levels) != 3:
         raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
     if not all(math.isfinite(x) for x in (*prior, *levels)):
         raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
-    w0, wl = prior
-    wh = 1.0 - w0 - wl
-    if min(w0, wl, wh) < 0.0:
-        raise DomainError(f"bad prior {prior}")
+    weights = w0, wl, wh = three_weights(prior)
     z, ell, h = levels
     if not (z == 0.0 and 0.0 <= ell < h):
         raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
-    weights = (w0, wl, wh)
+    root = acceptance_root(levels)
 
-    v_noinfo = prefs.utility(best_acceptable_proposal(levels, weights))
+    v_noinfo = prefs.utility(root(weights))
 
     v_fullinfo = sum(
         w * prefs.utility(min(2.0 * t, 1.0)) for w, t in zip(weights, levels)
@@ -206,7 +203,7 @@ def three_type_values(
             mass = a + b + c
             if mass <= 1e-15:
                 continue
-            p = best_acceptable_proposal(levels, (a / mass, b / mass, c / mass))
+            p = root((a / mass, b / mass, c / mass))
             total += mass * prefs.utility(p)
         return total
 

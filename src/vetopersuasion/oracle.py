@@ -26,7 +26,7 @@ from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
-from ._numeric import golden_max, grid_max
+from ._numeric import golden_max, grid_max, three_weights
 from .accept import BinaryTypeEnv
 from .dist import TypeDistribution
 from .errors import DomainError
@@ -358,9 +358,7 @@ def binary_signal_search_atoms(
     z, ell, h = levels
     if not (z == 0.0 and 0.0 <= ell < h):  # the bliss points _three_type_root reads
         raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
-    weights = [float(prior[0]), float(prior[1]), 1.0 - prior[0] - prior[1]]
-    if min(weights) < -1e-12:
-        raise DomainError(f"bad prior {prior}")
+    weights = [float(w) for w in three_weights(prior)]
     levels = [float(t) for t in levels]
 
     g = np.linspace(0.0, 1.0, grid_n)

@@ -23,6 +23,9 @@ import warnings
 
 TIMINGS = ("persuasion-first", "proposal-first")
 PAPER3 = "atoms:0:.7,0.1:.2,0.5:.1"  # the paper's three-type example
+# FiniteAtoms accepts these weights; 1 - 0.6 - 0.4000000000000001 is -5.6e-17,
+# a residual on the top atom that both linear3 paths read as 0.
+RESIDUAL3 = "atoms:0:0.6,0.1:0.4000000000000001,0.5:1e-300"
 
 # (command line after `vps`, exit code, fragment or None)
 ROWS = [
@@ -43,6 +46,8 @@ ROWS = [
     ("solve quad persuasion-first uniform:-1.0,1.9999999999999998 linear", 0, None),
     ("solve quad persuasion-first uniform:-1,1 power:1.5", 0, None),
     *((f"solve quad {t} uniform:-1,1 exp:700", 0, None) for t in TIMINGS),  # exp(700) is finite
+    # The mean 0.4 > 0: proposing 0.8 unconditionally is accepted, no cutoff.
+    ("solve quad proposal-first uniform:-0.2,1 power:2", 0, "regime: NoInfo"),
     # Linear loss, two and three types.
     *((f"solve linear2 {t} atoms:0.1:.8,0.7:.2 linear", 0, None) for t in TIMINGS),
     ("solve linear2 proposal-first atoms:0.1:.8,0.7:.2 linear --json", 0, None),
@@ -51,6 +56,7 @@ ROWS = [
     ("solve linear2 proposal-first atoms:0.1:.8,0.7:.2 exp:80", 0, None),
     ("solve linear2 persuasion-first atoms:0.1:.7,1e308:.3 power:2", 0, None),
     *((f"solve linear3 {t} {PAPER3} linear", 0, None) for t in TIMINGS),
+    *((f"solve linear3 {t} {RESIDUAL3} linear", 0, None) for t in TIMINGS),
     # Sweeps and figures; tilts 2.5 and 3 have no cutoff and read n/a.
     ("sweep risk-aversion", 0, None),
     ("sweep theta-hi", 0, None),
@@ -97,6 +103,7 @@ ROWS = [
     (f"oracle linear3 {PAPER3} linear", 0, "PASS binary-signal-search: oracle -0.866666667"),
     *((f"oracle linear3 {PAPER3} linear --grid {n}", 0, None) for n in (40, 101)),
     (f"oracle linear3 {PAPER3} exp:300", 0, None),
+    (f"oracle linear3 {RESIDUAL3} linear", 0, "PASS binary-signal-search: oracle -0.92"),
     ("oracle linear3 atoms:0:0.49423940919901654,0.7223478432410864:0.5029267086738041,"
      "0.7826817705759962:0.002833882127179388 exp:2.7530702631262596", 0, None),
 ]

@@ -11,6 +11,7 @@ from vetopersuasion import (
     Exponential,
     Linear,
     Power,
+    acceptance_root,
     best_acceptable_proposal,
     phi_threshold,
     psi_cap,
@@ -150,6 +151,44 @@ ATOM = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 1e200]), st.fl
 def test_best_acceptable_proposal_is_the_full_scan_bit_for_bit(atoms):
     thetas, weights = zip(*atoms)
     assert repr(best_acceptable_proposal(thetas, weights)) == repr(_full_scan(thetas, weights))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ATOM, min_size=1, max_size=5).flatmap(lambda thetas: st.tuples(
+    st.just(thetas),
+    st.lists(st.lists(st.floats(0.0, 1.0), min_size=len(thetas), max_size=len(thetas)),
+             min_size=1, max_size=6))))
+@example(([0.0, 0.1, 0.5], [[0.7, 0.2, 0.1], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.7, 0.2, 0.1]]))
+@example(([0.0, 0.0], [[0.5, 0.5], [0.0, 1.0]]))
+def test_a_bound_root_answers_each_weight_vector_as_a_fresh_one(case):
+    # One binding serves a whole search, so no call may leave state for the next.
+    thetas, weight_seq = case
+    root = acceptance_root(thetas)
+    for weights in weight_seq:
+        got = repr(root(weights))
+        assert got == repr(acceptance_root(thetas)(weights)) == repr(_full_scan(thetas, weights))
+
+
+BAD = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(ATOM, min_size=1, max_size=5), BAD, st.floats(-2.0, -5e-324), st.data())
+def test_a_bound_root_raises_the_kernels_messages(thetas, bad, negative, data):
+    k = data.draw(st.integers(0, len(thetas) - 1))
+    weights = [1.0 / len(thetas)] * len(thetas)
+    finite, nonnegative = "atom locations and weights must be finite", "must be nonnegative here"
+    for level, message in [(bad, finite), (negative, nonnegative)]:
+        bad_thetas = [*thetas[:k], level, *thetas[k + 1:]]
+        for call in (lambda: acceptance_root(bad_thetas),
+                     lambda: best_acceptable_proposal(bad_thetas, weights)):
+            with pytest.raises(DomainError, match=message):
+                call()
+    # Non-finite weights raise from the bound root however the atoms lie.
+    root, bad_weights = acceptance_root(thetas), [*weights[:k], bad, *weights[k + 1:]]
+    for call in (lambda: root(bad_weights), lambda: best_acceptable_proposal(thetas, bad_weights)):
+        with pytest.raises(DomainError, match=finite):
+            call()
 
 
 def _generator_three_type_values(prior, levels, prefs):

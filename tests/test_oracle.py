@@ -154,7 +154,8 @@ class TestSplitSearch:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        names = ["uhat", "utilde", "psi_cap", "phi_threshold", "best_acceptable_proposal"]
+        names = ["uhat", "utilde", "psi_cap", "phi_threshold", "best_acceptable_proposal",
+                 "acceptance_root"]
         for module in (accept, lsolve, oracle):
             for name in names:
                 if hasattr(module, name):
@@ -183,7 +184,8 @@ class TestBinarySignalSearch:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        monkeypatch.setattr(accept, "best_acceptable_proposal", boom)
+        for name in ("best_acceptable_proposal", "acceptance_root"):
+            monkeypatch.setattr(accept, name, boom)
         v, _ = binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, grid_n=41)
         assert v == pytest.approx(-13.0 / 15.0, abs=1e-4)
 
@@ -205,6 +207,23 @@ class TestBinarySignalSearch:
             three_type_values((0.5, 0.3), levels, LIN)
         with pytest.raises(DomainError):
             binary_signal_search_atoms((0.5, 0.3), levels, LIN, grid_n=11)
+
+    def test_one_rule_for_the_residual_weight(self):
+        # A residual 1 - w0 - w1 in [-1e-12, 0) is rounding and reads as 0 in
+        # both; the solver raised on -5.6e-17 and the oracle scored
+        # (0.5, 0.5000000000001) with its negative residual, at -0.89999999999998.
+        levels = (0.0, 0.1, 0.5)
+        for prior, residual in [((0.6, 0.4000000000000001), -5.6e-17),
+                                ((0.5, 0.5000000000001), -1e-13)]:
+            assert 1.0 - prior[0] - prior[1] == pytest.approx(residual, rel=0.01)
+            r = three_type_values(prior, levels, LIN)
+            v, _ = binary_signal_search_atoms(prior, levels, LIN, grid_n=11)
+            assert v == r.v_bestbinary
+        for prior in [(0.6, 0.40000000001), (-1e-13, 0.5)]:  # residual -1e-11; w0 < 0
+            with pytest.raises(DomainError, match="bad prior"):
+                three_type_values(prior, levels, LIN)
+            with pytest.raises(DomainError, match="bad prior"):
+                binary_signal_search_atoms(prior, levels, LIN, grid_n=11)
 
     @pytest.mark.parametrize("prior,levels", [
         ((0.5, 0.3), (0.0, 0.1)),  # both read a bare ValueError from the unpacking
@@ -336,7 +355,8 @@ class TestProposalFirstGrid:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal"]
+        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal",
+                 "acceptance_root"]
         for module in (accept, lsolve, oracle):
             for name in names:
                 if hasattr(module, name):
