@@ -44,14 +44,18 @@ def golden_max(
     Returns (x, f(x)) at the better of the two inner points (the left on a
     tie) of a final bracket at most tol wide.  Each step keeps the best point
     so far inside, so this is the best point evaluated; the bracket's
-    midpoint could lie past a cliff just after the peak.
+    midpoint could lie past a cliff just after the peak.  With tol below the
+    bracket's float spacing the steps can cycle: the search stops when a state
+    (a, b, x1, x2) recurs after a step that did not narrow the bracket, which
+    only a search that would never end reaches, as that state fixes the rest.
     """
     invphi = (5.0 ** 0.5 - 1.0) / 2.0
     a, b = lo, hi
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    stalled = set()
+    while (width := b - a) > tol:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + invphi * (b - a)
@@ -60,6 +64,10 @@ def golden_max(
             b, x2, f2 = x2, x1, f1
             x1 = b - invphi * (b - a)
             f1 = f(x1)
+        if b - a >= width:
+            if (a, b, x1, x2) in stalled:
+                break
+            stalled.add((a, b, x1, x2))
     return (x2, f2) if f1 < f2 else (x1, f1)
 
 

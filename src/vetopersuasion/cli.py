@@ -278,13 +278,13 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         from .qsolve import Regime, solve_persuasion_first
 
         r = solve_persuasion_first(prior, prefs)
-        best, _ = oracle.partition_search(prior, prefs, 3, min(args.grid or 400, 500))
         if r.regime is Regime.BINARY_CUTOFF or r.regime is Regime.NO_INFO:
             cutoff = r.regime is Regime.BINARY_CUTOFF
             ok, viol = (oracle.verify_certificate(prior, prefs, r.s_star, r.s_upper) if cutoff
                         else oracle.verify_no_info_certificate(prior, prefs))
             cert = "price-certificate" if cutoff else "tangent-certificate"
             checks.append((cert, ok, f"max violation {viol:.3g}"))
+            best, _ = oracle.partition_search(prior, prefs, 3, min(args.grid or 400, 500))
             ok = best <= r.value + tol
             msg = (f"oracle {best:.9g} vs {r.value:.9g}" if cutoff
                    else "no improving partition found" if ok else f"improved to {best:.9g}")

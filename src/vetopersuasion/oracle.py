@@ -17,14 +17,14 @@ A binary signal and its relabelling sigma <-> 1 - sigma induce the same two
 posteriors (Kamenica & Gentzkow 2011), so the three-type grid scores only
 the half of the sigma cube with sigma_0 <= 1/2.
 Agreement with the fast paths is the evidence the fast paths are right.
+Importing this module loads no numpy: the first array an oracle builds
+does, and a polish trial on floats runs no import statement.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, List, Sequence, Tuple
-
-import numpy as np
 
 from ._numeric import golden_max, grid_max, three_weights
 from .accept import BinaryTypeEnv
@@ -49,6 +49,7 @@ def _indirect(s, prefs: ProposerPreferences):
     # A float takes loss_array's 0-d formula without numpy, bit for bit (NaN too).
     if type(s) is float:
         return -prefs.loss(1.0 - 2.0 * min(max(s, 0.0), 0.5))
+    import numpy as np
     return -prefs.loss_array(1.0 - 2.0 * np.clip(s, 0.0, 0.5))
 
 
@@ -62,6 +63,7 @@ def _first_max(n_rows: int, width: Callable[[int], int], rows):
     partition grid's rows start at the column after the block's first row,
     so it computes only the blocks' corners below the diagonal, and masks
     them."""
+    import numpy as np
     best, r0 = None, 0
     while r0 < n_rows:
         r1 = min(n_rows, r0 + max(1, _BLOCK // width(r0)))
@@ -128,6 +130,7 @@ def _cell_values(f_a, t_a, f_b, t_b, prefs: ProposerPreferences):
     values are those of the out-of-place formula bit for bit.  An empty
     cell's entry carries t_a - t_b, clipped, through the loss, and is then
     set to 0."""
+    import numpy as np
     mass = f_b - f_a
     nonempty = mass > 0.0
     u = np.subtract(t_a, t_b)
@@ -158,6 +161,7 @@ def partition_search(
         raise DomainError(f"k_max must be 1, 2 or 3, got {k_max}")
     if grid_n > 500:
         raise DomainError(f"grid_n capped at 500, got {grid_n}")
+    import numpy as np
     lo, hi = d.support
     xs = np.linspace(lo, hi, grid_n)
     F, T = d.cdf(xs), d.upper_partial_mean(xs)
@@ -220,6 +224,7 @@ def verify_certificate(
     majorize the indirect utility everywhere, touch it at both posterior
     means, and satisfy E[theta | theta >= s_star] = s_upper.
     """
+    import numpy as np
     c1 = prefs.loss(1.0)
     u_up = _indirect(s_upper, prefs)
     if s_upper <= s_star:
@@ -254,6 +259,7 @@ def _max_excess(d: TypeDistribution, prefs: ProposerPreferences, price) -> float
     """Largest excess of the indirect utility over a price function on a
     _CERT_GRID-point grid of the support: 0 where the price majorizes it, NaN
     at a NaN point."""
+    import numpy as np
     s = np.linspace(*d.support, _CERT_GRID)
     return float(np.max(_indirect(s, prefs) - price(s), initial=0.0))
 
@@ -292,6 +298,7 @@ def _three_type_root(a, b, c, ell: float, h: float, s=None):
         return min(p_bar, r3, 2.0 * b * ell / d if d > 0.0 else p_bar)
     # The same steps on arrays, each root into a buffer that holds p_bar
     # where its line does not fall.
+    import numpy as np
     r3, r2 = np.full(np.shape(s), p_bar), np.full(np.shape(s), p_bar)
     with np.errstate(over="ignore"):  # past the float range: > p_bar
         np.divide(2.0 * (b * ell + c * h), s, out=r3, where=s > 0.0)
@@ -320,6 +327,7 @@ def _split_value_atoms(
         if type(mass) is float:
             total += mass * -prefs.loss(1.0 - p) if mass > 1e-15 else 0.0
         else:  # the float steps, in place on p
+            import numpy as np
             u = prefs.loss_array(np.subtract(1.0, p, out=p))
             np.negative(u, out=u)
             np.multiply(mass, u, out=u)
@@ -360,7 +368,7 @@ def binary_signal_search_atoms(
         raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
     weights = [float(w) for w in three_weights(prior)]
     levels = [float(t) for t in levels]
-
+    import numpy as np
     g = np.linspace(0.0, 1.0, grid_n)
     # Slabs of sigma_0 against every (sigma_1, sigma_2).  Above grid 90 one
     # slab outgrows _BLOCK, but at the cap, 101, its 10,201 entries (80 KiB)
@@ -384,13 +392,14 @@ def _proposal_payoff(p, env: BinaryTypeEnv, prefs: ProposerPreferences):
     iff mu >= phi(p), the root of a gain linear in mu.  The best signal splits
     mu0 into {0, phi(p)}: p passes with odds min(1, mu0 / phi(p)), and at odds
     1 the payoff is -c(1 - p) outright."""
-    least = min if type(p) is float else np.minimum  # min(p, 2t - p) rounds once
-    g_lo, g_hi = least(p, 2.0 * env.ell - p), least(p, 2.0 * env.h - p)
     c1, mu0 = prefs.loss(1.0), env.mu0
-    if type(p) is float:
+    if type(p) is float:  # min(p, 2t - p) rounds once
+        g_lo, g_hi = min(p, 2.0 * env.ell - p), min(p, 2.0 * env.h - p)
         sure = -prefs.loss(1.0 - p)
         phi = g_lo / (g_lo - g_hi) if g_lo < 0.0 else 0.0
         return sure if phi <= mu0 else -c1 + mu0 / phi * (c1 + sure)
+    import numpy as np
+    g_lo, g_hi = np.minimum(p, 2.0 * env.ell - p), np.minimum(p, 2.0 * env.h - p)
     sure = -prefs.loss_array(1.0 - p)
     with np.errstate(divide="ignore", invalid="ignore"):  # p <= ell: p / 0, unused
         phi = g_lo / (g_lo - g_hi)
@@ -404,18 +413,20 @@ def proposal_first_grid(
     best grid point polished by golden-section search (_numeric.grid_max)."""
     if grid_n > 100_001:
         raise DomainError(f"grid_n capped at 100001, got {grid_n}")
+    import numpy as np
     ps = np.linspace(0.0, env.p_bar, grid_n)
     vals = _proposal_payoff(ps, env, prefs).tolist()
     return grid_max(lambda p: _proposal_payoff(p, env, prefs), ps.tolist(), _REFINE_TOL, vals)
 
 
 def _grid_split(
-    env: BinaryTypeEnv, prefs: ProposerPreferences, mus: np.ndarray
+    env: BinaryTypeEnv, prefs: ProposerPreferences, mus
 ) -> Tuple[float, List[float]]:
     """Best split of the prior mu0 into two beliefs a <= mu0 <= b from the
     ascending candidates mus (mu0 among them), all pairs scored in row
     blocks: weight (b - mu0) / (b - a) on a and the rest on b, or no
     information when a = b = mu0.  Returns (value, [a, b])."""
+    import numpy as np
     mu0 = env.mu0
     p = _three_type_root(0.0, 1.0 - mus, mus, env.ell, env.h)
     u = -prefs.loss_array(1.0 - p)
@@ -446,6 +457,7 @@ def split_search(
     Returns (value, (a, b))."""
     if grid_n > 2001:
         raise DomainError(f"grid_n capped at 2001, got {grid_n}")
+    import numpy as np
     mu0 = env.mu0
     best, x = _grid_split(env, prefs, np.union1d(np.linspace(0.0, 1.0, grid_n), [mu0]))
     best, (lo, hi) = _coordinate_polish(

@@ -10,8 +10,9 @@ stderr line that starts with "error:"; 3 has an empty stderr and a fragment
 that names the failing check.  The fragment is looked for in stderr on code
 2 and in stdout otherwise.  The script checks that importing
 `vetopersuasion.cli` loads no numpy, scipy, dataclasses or inspect, runs the
-rows that are not `oracle` commands (none may load numpy, scipy or
-hypothesis), then the `oracle` rows (none may load scipy or hypothesis).
+rows that are not `oracle` commands (none may load numpy, scipy, hypothesis
+or `vetopersuasion.oracle`), then the `oracle` rows (none may load scipy or
+hypothesis).
 It prints every failing row and exits 1 if any fails.
 """
 
@@ -88,6 +89,12 @@ ROWS = [
     ("oracle quad uniform:-1,1 power:2 --grid 150", 0,
      "PASS partition-search: oracle -0.407407407 vs -0.407407407"),
     ("oracle quad uniform:-0.2,1 power:2 --grid 150", 0, "no improving partition found"),
+    # ulp(1e6) > 1e-10, the polish's tol: its bracket stopped narrowing and never ended.
+    *((f"oracle quad uniform:{lo},1 {loss}", 0, "PASS partition-search")
+      for lo, loss in (("-1e6", "linear"), ("-2e6", "power:2"))),
+    # No partition search where the regime leaves nothing to compare; on this
+    # support it warned (inf - inf).
+    ("oracle quad uniform:-1e300,1 linear", 0, "PASS regime: StatusQuoOnly"),
     ('oracle quad "tilt:uniform:-1,1;2" exp:1', 0, None),
     *((f'oracle quad "tilt:uniform:-1,1;{lam}" power:2', 0, None)
       for lam in ("700", "-700", "1e-300")),
@@ -139,7 +146,8 @@ def check(line, code, fragment):
 
 
 def _loaded(*names):
-    return {m.split(".")[0] for m in sys.modules} & set(names)
+    """Those of names, top-level packages or dotted module names, that are loaded."""
+    return set(names) & (set(sys.modules) | {m.split(".")[0] for m in sys.modules})
 
 
 if __name__ == "__main__":
@@ -151,7 +159,8 @@ if __name__ == "__main__":
     for line, code, fragment in sorted(ROWS, key=lambda row: row[0].startswith("oracle ")):
         problems = check(line, code, fragment)
         oracle = line.startswith("oracle ")
-        new = _loaded("scipy", "hypothesis", *(() if oracle else ("numpy",))) - seen
+        new = _loaded("scipy", "hypothesis",
+                      *(() if oracle else ("numpy", "vetopersuasion.oracle"))) - seen
         seen |= new
         problems += [f"loaded {sorted(new)}"] if new else []
         failures += [f"vps {line}: " + "; ".join(problems)] if problems else []

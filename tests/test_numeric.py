@@ -1,5 +1,7 @@
 import math
 import os
+import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -45,6 +47,67 @@ def test_golden_max_stops_short_of_a_cliff(cliff):
     x, fx = golden_max(f, 0.0, 1.0, 1e-10)
     assert x <= cliff and fx == x and cliff - x <= 1e-10
     assert x == max(c for c in calls if c <= cliff)  # the best point evaluated
+
+
+def _golden_max_unguarded(f, lo, hi, tol, steps):
+    # golden_max without its stall check, as a reference: None when it has
+    # not ended after steps steps.
+    invphi = (5.0 ** 0.5 - 1.0) / 2.0
+    a, b = lo, hi
+    x1, x2 = b - invphi * (b - a), a + invphi * (b - a)
+    f1, f2 = f(x1), f(x2)
+    while b - a > tol:
+        steps -= 1
+        if steps < 0:
+            return None
+        if f1 < f2:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + invphi * (b - a)
+            f2 = f(x2)
+        else:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - invphi * (b - a)
+            f1 = f(x1)
+    return (x2, f2) if f1 < f2 else (x1, f1)
+
+
+def test_golden_max_ends_when_the_bracket_stops_narrowing():
+    # ulp(1e7) = 1.9e-9 > tol, so the bracket never gets tol wide; the
+    # search must still end, and at the peak.
+    calls = []
+
+    def f(t):
+        if len(calls) == 500:
+            raise RuntimeError("golden_max has not ended after 500 calls")
+        calls.append(t)
+        return -abs(t - 1e7)
+
+    assert golden_max(f, 1e7 - 1, 1e7 + 1, 1e-10) == (1e7, -0.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([0.0, 1.0, 1e6, -1e7, 1e300]), st.integers(1, 40),
+       st.sampled_from([0.0, 1e-10, 1e-300]), st.integers(0, 2 ** 32))
+def test_golden_max_returns_as_without_the_stall_check(lo, ulps, tol, seed):
+    # A bracket a few ulps wide, and a step function of random values (ties
+    # and NaN among them): wherever the unguarded search ends, golden_max
+    # returns the same point and value, bit for bit, and it always ends.
+    hi = lo
+    for _ in range(ulps):
+        hi = math.nextafter(hi, math.inf)
+    rng, table, calls = random.Random(seed), {}, []
+
+    def f(t):
+        if len(calls) == 20_000:
+            raise RuntimeError("f called 20,000 times: a search has not ended")
+        calls.append(t)
+        if t not in table:
+            table[t] = rng.choice([0.0, 1.0, 2.0, math.nan])
+        return table[t]
+
+    want = _golden_max_unguarded(f, lo, hi, tol, 5000)
+    got = golden_max(f, lo, hi, tol)
+    assert want is None or repr(got) == repr(want)
 
 
 def test_grid_max_ties_pick_the_first_best_point():
@@ -140,8 +203,12 @@ def _run_python(code):
 
 
 def test_package_import_loads_no_numpy_dataclasses_or_inspect():
-    # tests/cli_corpus.py checks the same, and scipy, of vetopersuasion.cli.
-    code = ("import sys, vetopersuasion; "
+    # Every submodule, oracle too: numpy loads at the first array, not at
+    # import.  tests/cli_corpus.py checks the same, and scipy, of
+    # vetopersuasion.cli.  The names are listed here, since pkgutil loads inspect.
+    names = sorted(m.name for m in pkgutil.iter_modules(vetopersuasion.__path__))
+    assert "oracle" in names
+    code = (f"import importlib, sys\nfor m in {names!r}: importlib.import_module('vetopersuasion.' + m)\n"
             "print(sorted(m for m in ('numpy', 'dataclasses', 'inspect') if m in sys.modules))")
     assert _run_python(code).stdout.strip() == "[]"
 
