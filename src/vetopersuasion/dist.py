@@ -102,7 +102,7 @@ class UniformInterval(TypeDistribution, Record):
             with np.errstate(over="ignore", invalid="ignore"):  # silent, as on floats
                 upper = 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
             return np.where(a >= self.hi, 0.0, upper)
-        a = max(s, self.lo)
+        a = self.lo if self.lo > s else s  # max(s, self.lo), without the call
         if a >= self.hi:
             return 0.0
         return 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
@@ -115,7 +115,7 @@ class UniformInterval(TypeDistribution, Record):
         return (self.hi - s) / (self.hi - self.lo)
 
     def cond_mean_above(self, s: float) -> float:
-        a = max(s, self.lo)
+        a = self.lo if self.lo > s else s  # max(s, self.lo), without the call
         if self.mass_above(s) <= _MASS_EPS:
             raise FullMassBelowError(f"no mass above s={s!r}")
         return 0.5 * (a + self.hi)

@@ -195,28 +195,37 @@ def solve_persuasion_first(
     )
 
 
-def _cutoff_map(d: TypeDistribution) -> Callable[[float], float]:
-    """target_mean -> the smallest s with E[theta | theta >= s] >= target_mean,
-    at most the cap just below theta_hi: exact for a uniform prior, whose
-    E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection on the
-    tilt's _mean_from otherwise.  That mean, s + (theta_hi - s) times a share,
-    divides by no mass, so no probe raises; a cutoff that leaves no mass
-    reads 1 - cdf(s) = 0 in the objective."""
+def _cutoff_map(d: TypeDistribution) -> Tuple[Callable[[float], float],
+                                              Callable[[float], float]]:
+    """(cutoff, accept).  cutoff: target_mean -> the smallest s with
+    E[theta | theta >= s] >= target_mean, at most a cap 1e-12 max(1, |theta_hi|)
+    below theta_hi, or 1e-6 of a narrower support's width: exact for a uniform
+    prior, whose E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection
+    on the tilt's _mean_from, which divides by no mass, so no probe raises.
+    accept: a proposal p in (max(2 E[theta], 0), 2 theta_hi) -> the mass above
+    cutoff(p / 2), on a uniform prior (2 theta_hi - p) / (theta_hi - theta_lo)
+    in one step, else 1 - cdf(cutoff(p / 2)), 0 where no mass is left."""
     theta_lo, theta_hi = d.support
     mean_lo = d.cond_mean_above(theta_lo)
-    cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
+    cap = theta_hi - 1e-12 * min(max(1.0, abs(theta_hi)), 1e6 * (theta_hi - theta_lo))
     if isinstance(d, UniformInterval):
-        return lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap)
-    return lambda t: (theta_lo if mean_lo >= t
-                      else bisect_rising(d._mean_from, t, theta_lo, cap)[1])
+        two_hi, width = 2.0 * theta_hi, theta_hi - theta_lo
+        return (lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap),
+                lambda p: (two_hi - p) / width)
+    cdf = d.cdf
+
+    def cutoff(t: float) -> float:
+        return theta_lo if mean_lo >= t else bisect_rising(d._mean_from, t, theta_lo, cap)[1]
+
+    return cutoff, lambda p: 1.0 - cdf(cutoff(0.5 * p))
 
 
 def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences,
-                    cutoff: Callable[[float], float]) -> Callable[[float], float]:
+                    accept: Callable[[float], float]) -> Callable[[float], float]:
     """p -> the best attainable payoff from committing to proposal p, then
     choosing the experiment that maximizes its acceptance probability."""
     c1, mean, (_, theta_hi) = prefs.loss(1.0), d.mean(), d.support
-    two_mean, two_hi, utility, cdf = 2.0 * mean, 2.0 * theta_hi, prefs.utility, d.cdf
+    two_mean, two_hi, utility = 2.0 * mean, 2.0 * theta_hi, prefs.utility
 
     def value(p: float) -> float:
         if p <= 0.0:
@@ -225,8 +234,8 @@ def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences,
             return utility(p)
         if p >= two_hi:
             return -c1
-        accept = 1.0 - cdf(cutoff(0.5 * p))
-        return accept * utility(p) + (1.0 - accept) * (-c1)
+        a = accept(p)
+        return a * utility(p) + (1.0 - a) * (-c1)
 
     return value
 
@@ -239,22 +248,24 @@ def solve_proposal_first(
     _numeric.grid_max maximizes the committed proposal's value on 801 points
     of [0, min(2 theta_hi, 1)]; for each proposal the best experiment is the
     acceptance-probability-maximizing cutoff.  The objective binds c(1),
-    E[theta], theta_hi and the prior's cutoff map (theta_lo, E[theta |
-    theta >= theta_lo], the cap) once per solve, not once per point.
+    E[theta], theta_hi and the prior's acceptance read once per solve, not
+    once per point; on a uniform prior that read is closed-form, so a point
+    costs one utility and a few flops.  A best proposal within 1e-9 of
+    2 E[theta] (1e-3 of a support narrower than 1e-6) is NoInfo's.
     """
     trivial = _trivial_outcome(d, prefs)
     if trivial is not None:
         return trivial
-    _, theta_hi = d.support
+    theta_lo, theta_hi = d.support
     mean = d.mean()
 
     # linspace ends on min(2 theta_hi, 1) exactly: 800 steps can round an ulp
     # short of 2 theta_hi, past the p >= 2 theta_hi guard of _proposal_value.
     grid = linspace(0.0, min(2.0 * theta_hi, 1.0), 801)
-    cutoff = _cutoff_map(d)
-    p_opt, value = grid_max(_proposal_value(d, prefs, cutoff), grid, _GOLDEN_TOL)
+    cutoff, accept = _cutoff_map(d)
+    p_opt, value = grid_max(_proposal_value(d, prefs, accept), grid, _GOLDEN_TOL)
 
-    if mean > 0.0 and p_opt <= 2.0 * mean + 1e-9:
+    if mean > 0.0 and p_opt <= 2.0 * mean + min(1e-9, 1e-3 * (theta_hi - theta_lo)):
         return SolveOutcome(Regime.NO_INFO, None, None, p_opt, value, 0.0)
     s_star = cutoff(0.5 * p_opt)
     return SolveOutcome(

@@ -49,6 +49,11 @@ ROWS = [
     *((f"solve quad {t} uniform:-1,1 exp:700", 0, None) for t in TIMINGS),  # exp(700) is finite
     # The mean 0.4 > 0: proposing 0.8 unconditionally is accepted, no cutoff.
     ("solve quad proposal-first uniform:-0.2,1 power:2", 0, "regime: NoInfo"),
+    # Supports narrower than 1e-12: the cutoff cap stays inside the support, and
+    # the no-information band is narrower than it, so both timings cut at about 0.
+    *((f"solve quad proposal-first {prior}", 0, "regime: BinaryCutoff")
+      for prior in ("uniform:-1e-13,1e-13 linear", "uniform:-1e-13,1e-13 power:2",
+                    '"tilt:uniform:-1e-13,1e-13;1" linear')),
     # Linear loss, two and three types.
     *((f"solve linear2 {t} atoms:0.1:.8,0.7:.2 linear", 0, None) for t in TIMINGS),
     ("solve linear2 proposal-first atoms:0.1:.8,0.7:.2 linear --json", 0, None),
@@ -92,6 +97,10 @@ ROWS = [
     # ulp(1e6) > 1e-10, the polish's tol: its bracket stopped narrowing and never ended.
     *((f"oracle quad uniform:{lo},1 {loss}", 0, "PASS partition-search")
       for lo, loss in (("-1e6", "linear"), ("-2e6", "power:2"))),
+    # The grid step is 25 type units, so no cut lands near the solver's -1/3: the
+    # search falls short of the solver by more than --tol, which shows nothing.
+    ("oracle quad uniform:-1e4,1 power:2", 0,
+     "INFO partition-search: grid did not reach the solver (oracle -1 vs -0.999881493)"),
     # No partition search where the regime leaves nothing to compare; on this
     # support it warned (inf - inf).
     ("oracle quad uniform:-1e300,1 linear", 0, "PASS regime: StatusQuoOnly"),

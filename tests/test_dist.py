@@ -110,6 +110,17 @@ class TestUniform:
         d = UniformInterval(-1.0, 1.0)
         assert d.cond_mean_above(s + ds) >= d.cond_mean_above(s)
 
+    @pytest.mark.parametrize("s", [math.nan, -0.0, 0.0, -1.0, -3.0, 0.25])
+    def test_float_clip_is_max_of_s_and_lo(self, s):
+        # The clip keeps max's rule: NaN and -0.0 give the floats max gives.
+        for lo in (-1.0, -0.0):
+            d = UniformInterval(lo, 1.0)
+            a = max(s, lo)
+            upper = 0.0 if a >= 1.0 else 0.5 * (1.0 - a * a) / (1.0 - lo)
+            assert repr(d.upper_partial_mean(s)) == repr(upper)
+            if d.mass_above(s) > 1e-12:
+                assert repr(d.cond_mean_above(s)) == repr(0.5 * (a + 1.0))
+
 
 class TestAtoms:
     def test_validation(self):

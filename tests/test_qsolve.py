@@ -25,7 +25,7 @@ from vetopersuasion import (
     solve_proposal_first,
 )
 from vetopersuasion import qsolve
-from vetopersuasion._numeric import bisect_rising, brentq
+from vetopersuasion._numeric import bisect_rising, brentq, grid_max, linspace
 from vetopersuasion.closedform import linear_case_uniform, u_bi
 from vetopersuasion.oracle import _partition_value, verify_certificate
 from vetopersuasion.prefs import ProposerPreferences
@@ -207,7 +207,7 @@ def _bisected_acceptance_cutoff(d, target):
     theta_lo, theta_hi = d.support
     if d.cond_mean_above(theta_lo) >= target:
         return theta_lo
-    cap = theta_hi - 1e-12 * max(1.0, abs(theta_hi))
+    cap = theta_hi - 1e-12 * min(max(1.0, abs(theta_hi)), 1e6 * (theta_hi - theta_lo))
     return bisect_rising(d.cond_mean_above, target, theta_lo, cap)[1]
 
 
@@ -220,9 +220,9 @@ def test_uniform_acceptance_cutoff_matches_bisection(d, frac):
         expected = _bisected_acceptance_cutoff(d, target)
     except FullMassBelowError:
         # Bisection probed the last 1e-12 of mass; the closed form needs no probe.
-        assert 1.0 - d.cdf(_cutoff_map(d)(target)) <= 1e-11
+        assert 1.0 - d.cdf(_cutoff_map(d)[0](target)) <= 1e-11
         return
-    assert _cutoff_map(d)(target) == pytest.approx(expected, abs=1e-12)
+    assert _cutoff_map(d)[0](target) == pytest.approx(expected, abs=1e-12)
 
 
 def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
@@ -237,7 +237,7 @@ def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
     d = UniformInterval(-1.0, 0.8)
     for target in (-0.5, 0.0, 0.1, 0.4, 0.79, 0.8):
         calls.clear()
-        _cutoff_map(d)(target)
+        _cutoff_map(d)[0](target)
         assert len(calls) <= 1
 
 
@@ -260,12 +260,12 @@ def test_tilted_cutoff_map_never_raises_and_is_the_checked_bisection(d, checked_
     # when it is bound, and equals the checked bisection bit for bit wherever
     # that returns.
     lo, hi = d.support
-    cap = hi - 1e-12 * max(1.0, abs(hi))
+    cap = hi - 1e-12 * min(max(1.0, abs(hi)), 1e6 * (hi - lo))
     calls = []
     checked = ExponentialTilt.cond_mean_above
     monkeypatch.setattr(ExponentialTilt, "cond_mean_above",
                         lambda self, s: calls.append(s) or checked(self, s))
-    cutoff = _cutoff_map(d)
+    cutoff, _ = _cutoff_map(d)
     assert len(calls) == 1
     monkeypatch.setattr(ExponentialTilt, "cond_mean_above", checked)
     rng = random.Random(0)
@@ -286,8 +286,9 @@ def test_tilted_cutoff_map_never_raises_and_is_the_checked_bisection(d, checked_
 
 def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
     # The objective binds E[theta], the support, E[theta | theta >= theta_lo]
-    # and c(1) when it is built: a uniform solve reads each a few times in
-    # all, not once at each of its 801 grid points and polish steps.
+    # and c(1) when it is built, and scores a uniform prior's acceptance in
+    # closed form: a uniform solve reads each a few times in all and cdf only
+    # for the veto probability, not once at each of its 801 grid points.
     calls = {}
 
     def count(cls, name):
@@ -308,9 +309,57 @@ def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
     monkeypatch.setattr(UniformInterval, "support", property(UniformInterval.support))
     r = solve_proposal_first(UniformInterval(-1.0, 0.8), SQ)
     assert r.regime is Regime.BINARY_CUTOFF
-    assert calls.pop("cdf") > 800  # each grid point past 0 was scored
+    assert calls.pop("cdf") <= 2
     assert set(calls) == {"mean", "support", "cond_mean_above", "loss"}
     assert max(calls.values()) <= 5, calls
+
+
+def _scored_by_cdf(d, prefs):
+    # Reference: the same grid and polish, with each proposal's acceptance read
+    # as 1 - cdf(cutoff(p / 2)), as the tilted path still reads it.
+    cutoff, _ = _cutoff_map(d)
+    value = qsolve._proposal_value(d, prefs, lambda p: 1.0 - d.cdf(cutoff(0.5 * p)))
+    return grid_max(value, linspace(0.0, min(2.0 * d.support[1], 1.0), 801), 1e-12)[1]
+
+
+@settings(max_examples=100, deadline=None)
+@given(UNIFORMS, LOSSES)
+@example(UniformInterval(-0.5, 1e-11), Linear())  # the cap binds on the last grid cells
+def test_uniform_acceptance_is_one_minus_cdf_of_the_cutoff(d, prefs):
+    theta_lo, theta_hi = d.support
+    cutoff, accept = _cutoff_map(d)
+    cap = cutoff(theta_hi)
+    for p in linspace(0.0, min(2.0 * theta_hi, 1.0), 801):
+        if not max(2.0 * d.mean(), 0.0) < p < 2.0 * theta_hi:
+            continue  # the objective reads no acceptance here
+        by_cdf = 1.0 - d.cdf(cutoff(0.5 * p))
+        if p - theta_hi < cap:
+            assert accept(p) == pytest.approx(by_cdf, abs=1e-15)
+        else:  # the capped cutoff keeps the mass above the cap; the closed form is exact
+            assert 0.0 <= accept(p) <= by_cdf + 1e-15
+    if qsolve._trivial_outcome(d, prefs) is None:
+        got = solve_proposal_first(d, prefs).value
+        assert got == pytest.approx(_scored_by_cdf(d, prefs),
+                                    abs=1e-12 * max(1.0, prefs.loss(1.0)))
+
+
+# Supports narrower than the cap's usual 1e-12 gap below theta_hi, and one a
+# little wider than the no-information band's usual 1e-9.
+@pytest.mark.parametrize("d,prefs", [
+    (UniformInterval(-1e-13, 1e-13), Linear()),
+    (UniformInterval(-1e-13, 1e-13), SQ),
+    (lr_tilt(UniformInterval(-1e-13, 1e-13), 1.0), Linear()),
+    (lr_tilt(UniformInterval(-4e-9, 6e-9), -2.0), Exponential(2.0)),
+])
+def test_proposal_first_on_a_narrow_support(d, prefs):
+    # The cutoff lies in the support, the regime is persuasion-first's, and
+    # proposal-first is worth no more than persuasion-first, up to rounding.
+    pf = solve_persuasion_first(d, prefs)
+    pp = solve_proposal_first(d, prefs)
+    theta_lo, theta_hi = d.support
+    assert pp.regime is pf.regime is Regime.BINARY_CUTOFF
+    assert theta_lo <= pp.s_star <= theta_hi
+    assert pp.value <= pf.value + 4 * math.ulp(1.0) * max(1.0, prefs.loss(1.0))
 
 
 @settings(max_examples=150, deadline=None)
