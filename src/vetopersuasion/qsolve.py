@@ -12,8 +12,11 @@ Proposer's indirect utility
          = 0                for s >= 1/2.
 
 Both timings (experiment-then-proposal and proposal-then-experiment) are
-solved by genuinely different code paths; they must agree to ~1e-9, which
-the test suite enforces.
+solved by genuinely different code paths: persuasion-first finds s_star as
+the root of the tangency condition (solve_cutoff), and proposal-first
+maximizes the committed proposal's value, by one golden-section search over
+the cutoff on a uniform prior and over 801 proposals on a tilted one.  They
+must agree to ~1e-9, which the test suite enforces.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import math
 from enum import Enum
 from typing import Callable, Optional, Tuple
 
-from ._numeric import bisect_rising, brentq, grid_max, linspace
+from ._numeric import bisect_rising, brentq, golden_max, grid_max, linspace
 from ._record import Record
 from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
 from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
@@ -177,12 +180,19 @@ def solve_persuasion_first(
     if trivial is not None:
         return trivial
     mean = d.mean()
+    no_info = SolveOutcome(
+        Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), indirect_u(mean, prefs), 0.0
+    )
     if mean > 0.0 and no_info_optimal(d, prefs):
-        proposal = min(2.0 * mean, 1.0)
-        return SolveOutcome(
-            Regime.NO_INFO, None, None, proposal, indirect_u(mean, prefs), 0.0
-        )
-    s_star, s_upper = solve_cutoff(d, prefs)
+        return no_info
+    try:
+        s_star, s_upper = solve_cutoff(d, prefs)
+    except NoRootError:
+        # On a support narrower than about 1e-15 the anchor can round below
+        # theta_lo while z(theta_lo) rounds to >= 0, which is no information.
+        if mean > 0.0:
+            return no_info
+        raise
     veto = d.cdf(s_star)
     value = veto * (-prefs.loss(1.0)) + (1.0 - veto) * indirect_u(s_upper, prefs)
     return SolveOutcome(
@@ -197,21 +207,15 @@ def solve_persuasion_first(
 
 def _cutoff_map(d: TypeDistribution) -> Tuple[Callable[[float], float],
                                               Callable[[float], float]]:
-    """(cutoff, accept).  cutoff: target_mean -> the smallest s with
-    E[theta | theta >= s] >= target_mean, at most a cap 1e-12 max(1, |theta_hi|)
-    below theta_hi, or 1e-6 of a narrower support's width: exact for a uniform
-    prior, whose E[theta | theta >= s] is (s + theta_hi) / 2, and by bisection
-    on the tilt's _mean_from, which divides by no mass, so no probe raises.
-    accept: a proposal p in (max(2 E[theta], 0), 2 theta_hi) -> the mass above
-    cutoff(p / 2), on a uniform prior (2 theta_hi - p) / (theta_hi - theta_lo)
-    in one step, else 1 - cdf(cutoff(p / 2)), 0 where no mass is left."""
+    """(cutoff, accept) on a tilted prior.  cutoff: target_mean -> the smallest s
+    with E[theta | theta >= s] >= target_mean, at most a cap 1e-12 max(1,
+    |theta_hi|) below theta_hi, or 1e-6 of a narrower support's width, by
+    bisection on the tilt's _mean_from, which divides by no mass, so no probe
+    raises.  accept: a proposal p in (max(2 E[theta], 0), 2 theta_hi) -> the
+    mass above cutoff(p / 2), 1 - cdf(cutoff(p / 2)), 0 where no mass is left."""
     theta_lo, theta_hi = d.support
     mean_lo = d.cond_mean_above(theta_lo)
     cap = theta_hi - 1e-12 * min(max(1.0, abs(theta_hi)), 1e6 * (theta_hi - theta_lo))
-    if isinstance(d, UniformInterval):
-        two_hi, width = 2.0 * theta_hi, theta_hi - theta_lo
-        return (lambda t: theta_lo if mean_lo >= t else min(2.0 * t - theta_hi, cap),
-                lambda p: (two_hi - p) / width)
     cdf = d.cdf
 
     def cutoff(t: float) -> float:
@@ -240,22 +244,80 @@ def _proposal_value(d: TypeDistribution, prefs: ProposerPreferences,
     return value
 
 
+def _uniform_proposal_first(d: UniformInterval, prefs: ProposerPreferences) -> SolveOutcome:
+    """solve_proposal_first on a uniform prior: the best of golden_max over
+    t = -s in [0, -theta_lo], the kink s = 1 - theta_hi and V(theta_lo)."""
+    theta_lo, theta_hi = d.support
+    mean, c1 = d.mean(), prefs.loss(1.0)
+    cdf, cond_mean_above = d.cdf, d.cond_mean_above
+
+    def value(s: float) -> float:
+        m = cond_mean_above(s)
+        if m <= 0.0:
+            return -c1
+        veto = cdf(s)
+        return veto * -c1 + (1.0 - veto) * indirect_u(m, prefs)
+
+    no_info, cuts = value(theta_lo), []
+    if theta_lo < 0.0:
+        # Relative on a support narrower than 1: at an absolute 1e-12, a
+        # support narrower than that would end the search at its first two trials.
+        tol = _GOLDEN_TOL * min(1.0, theta_hi - theta_lo)
+        t, v = golden_max(lambda t: value(-t), 0.0, -theta_lo, tol)
+        cuts.append((v, 0.0 - t))
+        kink = 1.0 - theta_hi
+        if theta_lo <= kink <= 0.0:
+            cuts.append((value(kink), kink))
+    if mean > 0.0 and all(no_info >= v for v, _ in cuts):
+        return SolveOutcome(Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), no_info, 0.0)
+    v, s_star = max(cuts, key=lambda cut: cut[0])
+    s_upper = cond_mean_above(s_star)
+    return SolveOutcome(
+        Regime.BINARY_CUTOFF, s_star, s_upper, min(2.0 * s_upper, 1.0), v, cdf(s_star)
+    )
+
+
 def solve_proposal_first(
     d: TypeDistribution, prefs: ProposerPreferences
 ) -> SolveOutcome:
     """Optimal proposal-then-experiment outcome, computed independently.
 
-    _numeric.grid_max maximizes the committed proposal's value on 801 points
-    of [0, min(2 theta_hi, 1)]; for each proposal the best experiment is the
-    acceptance-probability-maximizing cutoff.  The objective binds c(1),
-    E[theta], theta_hi and the prior's acceptance read once per solve, not
-    once per point; on a uniform prior that read is closed-form, so a point
-    costs one utility and a few flops.  A best proposal within 1e-9 of
-    2 E[theta] (1e-3 of a support narrower than 1e-6) is NoInfo's.
+    For a committed proposal the best experiment is the cutoff that
+    maximizes its acceptance probability, so committing to p = min(2 m(s), 1)
+    and revealing whether theta >= s is worth
+
+        V(s) = (1 - F(s)) u(min(2 m(s), 1)) - F(s) c(1),  m(s) = E[theta | theta >= s].
+
+    On a uniform prior of width w, m(s) = (s + theta_hi) / 2, and V is flat,
+    then rises, then falls on [theta_lo, 0]:
+
+    * flat: where m(s) <= 0 no proposal above the status quo is accepted,
+      and V is exactly -c(1);
+    * one peak: for -theta_hi < s < 1 - theta_hi, V + c(1) =
+      ((theta_hi - s) / w) (u(s + theta_hi) + c(1)), a positive decreasing
+      affine factor times the positive concave u(s + theta_hi) + c(1).  Both
+      are log-concave, so their product is, and V has a single peak;
+    * fall: past the kink s = 1 - theta_hi, p = 1, u(1) = 0 and V = -F(s) c(1).
+
+    Cutoffs above 0 lose too: concavity gives u(p) + c(1) >= p u'(p), so
+    V'(s) <= -2 s f(s) u'(p) <= 0 there.  _numeric.golden_max searches
+    t = -s in [0, -theta_lo] (to 1e-12, or 1e-12 of a support narrower than
+    1), which puts the flat stretch on the right, where its rule of keeping
+    the left on a tie walks away from it.  The search only nears the kink,
+    where V has no derivative, so the kink is a candidate of its own, as is
+    V(theta_lo): no information, the regime exactly when E[theta] > 0 and
+    V(theta_lo) is at least the others.
+
+    A tilted prior still takes _numeric.grid_max over 801 proposals of
+    [0, min(2 theta_hi, 1)], each scored by _proposal_value with the
+    acceptance of the bisected cutoff (_cutoff_map); a best proposal within
+    1e-9 of 2 E[theta] (1e-3 of a support narrower than 1e-6) is NoInfo's.
     """
     trivial = _trivial_outcome(d, prefs)
     if trivial is not None:
         return trivial
+    if isinstance(d, UniformInterval):
+        return _uniform_proposal_first(d, prefs)
     theta_lo, theta_hi = d.support
     mean = d.mean()
 

@@ -27,6 +27,8 @@ PAPER3 = "atoms:0:.7,0.1:.2,0.5:.1"  # the paper's three-type example
 # FiniteAtoms accepts these weights; 1 - 0.6 - 0.4000000000000001 is -5.6e-17,
 # a residual on the top atom that both linear3 paths read as 0.
 RESIDUAL3 = "atoms:0:0.6,0.1:0.4000000000000001,0.5:1e-300"
+# A support 2e-16 wide on which z(theta_lo) rounds to >= 0 in solve_cutoff.
+NARROW = "uniform:-4.327947371105713e-17,1.7186974336222915e-16 exp:0.12972665772663997"
 
 # (command line after `vps`, exit code, fragment or None)
 ROWS = [
@@ -54,6 +56,13 @@ ROWS = [
     *((f"solve quad proposal-first {prior}", 0, "regime: BinaryCutoff")
       for prior in ("uniform:-1e-13,1e-13 linear", "uniform:-1e-13,1e-13 power:2",
                     '"tilt:uniform:-1e-13,1e-13;1" linear')),
+    # theta_hi > 1: the best cutoff is the kink where the proposal reaches 1,
+    # which the cutoff search only nears; it is a candidate of its own.
+    ("solve quad proposal-first uniform:-1,1.5 linear --json", 0, '"value": -0.2,'),
+    *((f"solve quad {t} uniform:-1e6,1 linear", 0, "regime: BinaryCutoff") for t in TIMINGS),
+    # Persuasion-first reads no information there, as proposal-first does.
+    (f"solve quad persuasion-first {NARROW}", 0, "regime: NoInfo"),
+    (f"oracle quad {NARROW}", 0, "PASS tangent-certificate: max violation 0"),
     # Linear loss, two and three types.
     *((f"solve linear2 {t} atoms:0.1:.8,0.7:.2 linear", 0, None) for t in TIMINGS),
     ("solve linear2 proposal-first atoms:0.1:.8,0.7:.2 linear --json", 0, None),

@@ -171,6 +171,11 @@ UNIFORMS = st.builds(
 )
 TILTS = st.builds(lr_tilt, UNIFORMS, st.floats(-3.0, 3.0))
 STEEP_TILTS = st.builds(lr_tilt, UNIFORMS, st.floats(-800.0, 800.0))
+# Uniform supports the benchmark never draws: theta_lo near 0 or far below it,
+# and theta_hi above 1, where proposal-first's best cutoff can be the kink.
+WIDE_UNIFORMS = st.builds(
+    UniformInterval, st.floats(-1e6, -1e-9), st.floats(0.0, 2.0, exclude_min=True)
+)
 LOSSES = st.one_of(
     st.just(Linear()),
     st.floats(1.0, 3.0).map(Power),
@@ -209,36 +214,6 @@ def _bisected_acceptance_cutoff(d, target):
         return theta_lo
     cap = theta_hi - 1e-12 * min(max(1.0, abs(theta_hi)), 1e6 * (theta_hi - theta_lo))
     return bisect_rising(d.cond_mean_above, target, theta_lo, cap)[1]
-
-
-@settings(max_examples=300)
-@given(UNIFORMS, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-def test_uniform_acceptance_cutoff_matches_bisection(d, frac):
-    mean, hi = d.mean(), d.support[1]
-    target = mean + frac * (hi - mean)
-    try:
-        expected = _bisected_acceptance_cutoff(d, target)
-    except FullMassBelowError:
-        # Bisection probed the last 1e-12 of mass; the closed form needs no probe.
-        assert 1.0 - d.cdf(_cutoff_map(d)[0](target)) <= 1e-11
-        return
-    assert _cutoff_map(d)[0](target) == pytest.approx(expected, abs=1e-12)
-
-
-def test_uniform_acceptance_cutoff_is_closed_form(monkeypatch):
-    calls = []
-    plain = UniformInterval.cond_mean_above
-
-    def counted(self, s):
-        calls.append(s)
-        return plain(self, s)
-
-    monkeypatch.setattr(UniformInterval, "cond_mean_above", counted)
-    d = UniformInterval(-1.0, 0.8)
-    for target in (-0.5, 0.0, 0.1, 0.4, 0.79, 0.8):
-        calls.clear()
-        _cutoff_map(d)[0](target)
-        assert len(calls) <= 1
 
 
 # A steep negative tilt leaves under 1e-12 of mass well below theta_hi, so a
@@ -284,11 +259,12 @@ def test_tilted_cutoff_map_never_raises_and_is_the_checked_bisection(d, checked_
     assert (raised > 0) is checked_raises
 
 
-def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
-    # The objective binds E[theta], the support, E[theta | theta >= theta_lo]
-    # and c(1) when it is built, and scores a uniform prior's acceptance in
-    # closed form: a uniform solve reads each a few times in all and cdf only
-    # for the veto probability, not once at each of its 801 grid points.
+@pytest.mark.parametrize("d", [UniformInterval(-1.0, 0.8), UniformInterval(-1e6, 1.5)])
+def test_uniform_proposal_first_is_a_search_not_a_scan(d, monkeypatch):
+    # One golden-section search over the cutoff: each trial reads the prior's
+    # cond_mean_above and cdf and the loss once, about 60 trials at 1e-12 on
+    # [0, 1] and 90 on [0, 1e6], so far under the 801 utility reads a proposal
+    # grid makes.
     calls = {}
 
     def count(cls, name):
@@ -302,41 +278,38 @@ def test_proposal_first_reads_the_prior_and_loss_once_per_solve(monkeypatch):
 
     for name in ("mean", "cond_mean_above", "cdf"):
         count(UniformInterval, name)
-    count(ProposerPreferences, "loss")
+    for name in ("loss", "utility"):
+        count(ProposerPreferences, name)
     # support is a property: count its getter.
     monkeypatch.setattr(UniformInterval, "support", UniformInterval.support.fget)
     count(UniformInterval, "support")
     monkeypatch.setattr(UniformInterval, "support", property(UniformInterval.support))
-    r = solve_proposal_first(UniformInterval(-1.0, 0.8), SQ)
+    r = solve_proposal_first(d, SQ)
     assert r.regime is Regime.BINARY_CUTOFF
-    assert calls.pop("cdf") <= 2
-    assert set(calls) == {"mean", "support", "cond_mean_above", "loss"}
-    assert max(calls.values()) <= 5, calls
+    prior = sum(calls.get(name, 0) for name in ("mean", "cond_mean_above", "cdf", "support"))
+    assert prior < 200, calls
+    assert calls.get("loss", 0) + calls.get("utility", 0) < 200, calls
 
 
 def _scored_by_cdf(d, prefs):
-    # Reference: the same grid and polish, with each proposal's acceptance read
-    # as 1 - cdf(cutoff(p / 2)), as the tilted path still reads it.
-    cutoff, _ = _cutoff_map(d)
-    value = qsolve._proposal_value(d, prefs, lambda p: 1.0 - d.cdf(cutoff(0.5 * p)))
+    # Reference: the 801-point proposal grid and its polish, each proposal's
+    # acceptance read as 1 - cdf of the bisected cutoff whose upper mean is
+    # p / 2.  Bisection stops where under 1e-12 of mass is left above a probe;
+    # the proposal is then all but surely vetoed, and reads acceptance 0.
+    def accept(p):
+        try:
+            return 1.0 - d.cdf(_bisected_acceptance_cutoff(d, 0.5 * p))
+        except FullMassBelowError:
+            return 0.0
+
+    value = qsolve._proposal_value(d, prefs, accept)
     return grid_max(value, linspace(0.0, min(2.0 * d.support[1], 1.0), 801), 1e-12)[1]
 
 
 @settings(max_examples=100, deadline=None)
 @given(UNIFORMS, LOSSES)
 @example(UniformInterval(-0.5, 1e-11), Linear())  # the cap binds on the last grid cells
-def test_uniform_acceptance_is_one_minus_cdf_of_the_cutoff(d, prefs):
-    theta_lo, theta_hi = d.support
-    cutoff, accept = _cutoff_map(d)
-    cap = cutoff(theta_hi)
-    for p in linspace(0.0, min(2.0 * theta_hi, 1.0), 801):
-        if not max(2.0 * d.mean(), 0.0) < p < 2.0 * theta_hi:
-            continue  # the objective reads no acceptance here
-        by_cdf = 1.0 - d.cdf(cutoff(0.5 * p))
-        if p - theta_hi < cap:
-            assert accept(p) == pytest.approx(by_cdf, abs=1e-15)
-        else:  # the capped cutoff keeps the mass above the cap; the closed form is exact
-            assert 0.0 <= accept(p) <= by_cdf + 1e-15
+def test_uniform_proposal_first_matches_the_cdf_scored_grid(d, prefs):
     if qsolve._trivial_outcome(d, prefs) is None:
         got = solve_proposal_first(d, prefs).value
         assert got == pytest.approx(_scored_by_cdf(d, prefs),
@@ -350,6 +323,7 @@ def test_uniform_acceptance_is_one_minus_cdf_of_the_cutoff(d, prefs):
     (UniformInterval(-1e-13, 1e-13), SQ),
     (lr_tilt(UniformInterval(-1e-13, 1e-13), 1.0), Linear()),
     (lr_tilt(UniformInterval(-4e-9, 6e-9), -2.0), Exponential(2.0)),
+    (UniformInterval(-4e-9, 6e-9), Exponential(2.0)),
 ])
 def test_proposal_first_on_a_narrow_support(d, prefs):
     # The cutoff lies in the support, the regime is persuasion-first's, and
@@ -359,7 +333,11 @@ def test_proposal_first_on_a_narrow_support(d, prefs):
     theta_lo, theta_hi = d.support
     assert pp.regime is pf.regime is Regime.BINARY_CUTOFF
     assert theta_lo <= pp.s_star <= theta_hi
-    assert pp.value <= pf.value + 4 * math.ulp(1.0) * max(1.0, prefs.loss(1.0))
+    ulps = 4 * math.ulp(1.0) * max(1.0, prefs.loss(1.0))
+    assert pp.value <= pf.value + ulps
+    if isinstance(d, UniformInterval):
+        # The cutoff search resolves a support narrower than its 1e-12 too.
+        assert pp.value >= pf.value - ulps
 
 
 @settings(max_examples=150, deadline=None)
@@ -422,6 +400,30 @@ def test_timings_agree_property(d, prefs):
 @given(STEEP_TILTS, LOSSES)
 def test_timings_agree_on_steep_tilts(d, prefs):
     _assert_timings_agree(d, prefs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE_UNIFORMS, LOSSES)
+@example(UniformInterval(-1.0, 1.5), Linear())  # the best cutoff is the kink
+@example(UniformInterval(-1e6, 1.0), Linear())
+def test_timings_agree_on_wide_uniforms(d, prefs):
+    _assert_timings_agree(d, prefs)
+
+
+def test_persuasion_first_where_rounding_hides_the_no_information_anchor():
+    # A support 2e-16 wide: no_info_optimal rounds the anchor above theta_lo,
+    # but z(theta_lo) rounds to >= 0, so solve_cutoff finds no interior cutoff.
+    # With E[theta] > 0 that is no information, as proposal-first finds.
+    d = UniformInterval(-4.327947371105713e-17, 1.7186974336222915e-16)
+    prefs = Exponential(0.12972665772663997)
+    assert not no_info_optimal(d, prefs)
+    with pytest.raises(NoRootError):
+        solve_cutoff(d, prefs)
+    pf = solve_persuasion_first(d, prefs)
+    assert pf.regime is Regime.NO_INFO
+    assert pf.proposal == 2.0 * d.mean() and pf.veto_prob == 0.0
+    assert pf.value == indirect_u(d.mean(), prefs)
+    assert solve_proposal_first(d, prefs) == pf
 
 
 @pytest.mark.parametrize(
