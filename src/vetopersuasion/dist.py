@@ -57,6 +57,14 @@ class TypeDistribution(ABC):
         """E[theta | theta >= s]; raises FullMassBelowError when at most
         _MASS_EPS of mass lies at or above s."""
 
+    def cut(self, s: float) -> Tuple[float, float]:
+        """(cdf(s), cond_mean_above(s)) at a float s: the same floats, and the
+        same FullMassBelowError.  A cutoff trial needs both reads, so one read
+        lets a family answer them from one clip of s, as the uniform does; a
+        tilt could answer both from one exponential once its proposal-first
+        solves search the cutoff too.  This default makes the two calls."""
+        return self.cdf(s), self.cond_mean_above(s)
+
 
 class UniformInterval(TypeDistribution, Record):
     __slots__ = ("lo", "hi")
@@ -119,6 +127,14 @@ class UniformInterval(TypeDistribution, Record):
         if self.mass_above(s) <= _MASS_EPS:
             raise FullMassBelowError(f"no mass above s={s!r}")
         return 0.5 * (a + self.hi)
+
+    def cut(self, s: float) -> Tuple[float, float]:
+        lo, hi = self.lo, self.hi
+        if s <= lo:
+            return 0.0, 0.5 * (lo + hi)
+        if s >= hi or (hi - s) / (hi - lo) <= _MASS_EPS:  # mass_above(s)
+            raise FullMassBelowError(f"no mass above s={s!r}")
+        return (s - lo) / (hi - lo), 0.5 * (s + hi)
 
 
 class FiniteAtoms(Record):

@@ -112,12 +112,6 @@ def _cells_value(
     return total
 
 
-def _partition_value(
-    d: TypeDistribution, prefs: ProposerPreferences, cuts: Sequence[float]
-) -> float:
-    return _cells_value([_edge(d, x) for x in [d.support[0], *sorted(cuts), d.support[1]]], prefs)
-
-
 def _edge(d: TypeDistribution, x: float) -> Tuple[float, float, float]:
     return x, d.cdf(x), d.upper_partial_mean(x)
 

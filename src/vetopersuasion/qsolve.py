@@ -63,13 +63,20 @@ def indirect_u(s: float, prefs: ProposerPreferences) -> float:
     return -prefs.loss(1.0 - 2.0 * s)
 
 
-def _anchor(m: float, prefs: ProposerPreferences) -> float:
-    """The s whose line from (s, -c(1)) touches U at m in [0, 1/2]: -inf
-    where u'(2m) = 0, and clamped at 0 against rounding (see solve_cutoff)."""
-    slope = 2.0 * prefs.utility_deriv(2.0 * m)
-    if slope == 0.0:
-        return -math.inf
-    return min(m - (prefs.utility(2.0 * m) - prefs.utility(0.0)) / slope, 0.0)
+def _anchor(prefs: ProposerPreferences) -> Callable[[float], float]:
+    """m -> the s whose line from (s, -c(1)) touches U at m in [0, 1/2]: -inf
+    where u'(2m) = 0, and clamped at 0 against rounding (see solve_cutoff).
+    u(0), utility and utility_deriv are bound once."""
+    utility, utility_deriv, u0 = prefs.utility, prefs.utility_deriv, prefs.utility(0.0)
+
+    def anchor(m: float) -> float:
+        slope = 2.0 * utility_deriv(2.0 * m)
+        if slope == 0.0:
+            return -math.inf
+        a = m - (utility(2.0 * m) - u0) / slope
+        return 0.0 if a > 0.0 else a  # min(a, 0.0), without the call
+
+    return anchor
 
 
 def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
@@ -83,16 +90,16 @@ def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
         raise AssumptionViolatedError(
             "E[theta] >= 1/2: the Proposer's ideal proposal is already accepted"
         )
+    return _no_info_optimal(d, mean, _anchor(prefs))
+
+
+def _no_info_optimal(d: TypeDistribution, mean: float, anchor: Callable[[float], float]) -> bool:
     theta_lo, _ = d.support
     if theta_lo >= 0.0:
         return True
-    if mean <= 0.0:
-        return False
     # An affine u has A = 0 > theta_lo, but a small mean can round A(E[theta])
     # below a theta_lo that is within rounding of 0.
-    if _anchor(0.5, prefs) >= 0.0:
-        return False
-    return _anchor(mean, prefs) <= theta_lo
+    return mean > 0.0 and anchor(0.5) < 0.0 and anchor(mean) <= theta_lo
 
 
 def solve_cutoff(
@@ -128,29 +135,35 @@ def solve_cutoff(
     above 0, so A is clamped there, which keeps z(0) >= 0.  Each case takes
     one Brent run at most, with no root find inside it.
     """
+    return _cutoff(d, _anchor(prefs))
+
+
+def _cutoff(d: TypeDistribution, anchor: Callable[[float], float]) -> Tuple[float, float]:
+    """solve_cutoff with the anchor bound by the caller."""
     theta_lo, _ = d.support
     if theta_lo >= 0.0:
         raise NoRootError("no cutoff exists when the whole support is nonnegative")
-    a_half = _anchor(0.5, prefs)
-    if a_half > theta_lo and d.cond_mean_above(a_half) >= 0.5:
-        s_star = brentq(lambda s: d.cond_mean_above(s) - 0.5, theta_lo, a_half,
+    cond_mean_above, a_half = d.cond_mean_above, anchor(0.5)
+    if a_half > theta_lo and cond_mean_above(a_half) >= 0.5:
+        s_star = brentq(lambda s: cond_mean_above(s) - 0.5, theta_lo, a_half,
                         xtol=1e-14, rtol=8.9e-16)
         # E[theta] < 1/2 puts the root above theta_lo, but it can lie within
         # xtol of it, where Brent may return theta_lo itself.
         s_star = max(s_star, math.nextafter(theta_lo, 0.0))
     elif a_half >= 0.0:
-        return 0.0, d.cond_mean_above(0.0)
+        return 0.0, cond_mean_above(0.0)
     else:
         def z(s: float) -> float:
-            m = min(max(d.cond_mean_above(s), 0.0), 0.5)
-            return s - max(_anchor(m, prefs), theta_lo)
+            m = cond_mean_above(s)
+            a = anchor(0.0 if m < 0.0 else 0.5 if m > 0.5 else m)
+            return s - (theta_lo if theta_lo > a else a)
 
         s_star = brentq(z, theta_lo, 0.0, xtol=1e-14, rtol=8.9e-16)
         if s_star <= theta_lo:
             raise NoRootError(
                 "no interior cutoff: no information is optimal for this instance"
             )
-    return s_star, d.cond_mean_above(s_star)
+    return s_star, cond_mean_above(s_star)
 
 
 def _trivial_outcome(
@@ -179,29 +192,25 @@ def solve_persuasion_first(
     trivial = _trivial_outcome(d, prefs)
     if trivial is not None:
         return trivial
-    mean = d.mean()
-    no_info = SolveOutcome(
-        Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), indirect_u(mean, prefs), 0.0
-    )
-    if mean > 0.0 and no_info_optimal(d, prefs):
-        return no_info
-    try:
-        s_star, s_upper = solve_cutoff(d, prefs)
-    except NoRootError:
-        # On a support narrower than about 1e-15 the anchor can round below
-        # theta_lo while z(theta_lo) rounds to >= 0, which is no information.
-        if mean > 0.0:
-            return no_info
-        raise
+    mean, anchor = d.mean(), _anchor(prefs)
+    no_info = mean > 0.0 and _no_info_optimal(d, mean, anchor)
+    if not no_info:
+        try:
+            s_star, s_upper = _cutoff(d, anchor)
+        except NoRootError:
+            # On a support narrower than about 1e-15 the anchor can round below
+            # theta_lo while z(theta_lo) rounds to >= 0, which is no information.
+            if mean <= 0.0:
+                raise
+            no_info = True
+    if no_info:
+        return SolveOutcome(
+            Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), indirect_u(mean, prefs), 0.0
+        )
     veto = d.cdf(s_star)
     value = veto * (-prefs.loss(1.0)) + (1.0 - veto) * indirect_u(s_upper, prefs)
     return SolveOutcome(
-        Regime.BINARY_CUTOFF,
-        s_star,
-        s_upper,
-        min(2.0 * s_upper, 1.0),
-        value,
-        veto,
+        Regime.BINARY_CUTOFF, s_star, s_upper, min(2.0 * s_upper, 1.0), value, veto
     )
 
 
@@ -248,32 +257,31 @@ def _uniform_proposal_first(d: UniformInterval, prefs: ProposerPreferences) -> S
     """solve_proposal_first on a uniform prior: the best of golden_max over
     t = -s in [0, -theta_lo], the kink s = 1 - theta_hi and V(theta_lo)."""
     theta_lo, theta_hi = d.support
-    mean, c1 = d.mean(), prefs.loss(1.0)
-    cdf, cond_mean_above = d.cdf, d.cond_mean_above
+    mean, quo = d.mean(), -prefs.loss(1.0)
+    cut, utility = d.cut, prefs.utility
 
-    def value(s: float) -> float:
-        m = cond_mean_above(s)
+    def value(t: float) -> float:  # V(-t); u(2m) is indirect_u(m) for m > 0
+        veto, m = cut(-t)
         if m <= 0.0:
-            return -c1
-        veto = cdf(s)
-        return veto * -c1 + (1.0 - veto) * indirect_u(m, prefs)
+            return quo
+        return veto * quo + (1.0 - veto) * (utility(2.0 * m) if m < 0.5 else 0.0)
 
-    no_info, cuts = value(theta_lo), []
+    no_info, cuts = value(-theta_lo), []
     if theta_lo < 0.0:
         # Relative on a support narrower than 1: at an absolute 1e-12, a
         # support narrower than that would end the search at its first two trials.
         tol = _GOLDEN_TOL * min(1.0, theta_hi - theta_lo)
-        t, v = golden_max(lambda t: value(-t), 0.0, -theta_lo, tol)
+        t, v = golden_max(value, 0.0, -theta_lo, tol)
         cuts.append((v, 0.0 - t))
         kink = 1.0 - theta_hi
         if theta_lo <= kink <= 0.0:
-            cuts.append((value(kink), kink))
+            cuts.append((value(-kink), kink))
     if mean > 0.0 and all(no_info >= v for v, _ in cuts):
         return SolveOutcome(Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), no_info, 0.0)
-    v, s_star = max(cuts, key=lambda cut: cut[0])
-    s_upper = cond_mean_above(s_star)
+    v, s_star = max(cuts, key=lambda c: c[0])
+    s_upper = d.cond_mean_above(s_star)
     return SolveOutcome(
-        Regime.BINARY_CUTOFF, s_star, s_upper, min(2.0 * s_upper, 1.0), v, cdf(s_star)
+        Regime.BINARY_CUTOFF, s_star, s_upper, min(2.0 * s_upper, 1.0), v, d.cdf(s_star)
     )
 
 
@@ -303,10 +311,11 @@ def solve_proposal_first(
     V'(s) <= -2 s f(s) u'(p) <= 0 there.  _numeric.golden_max searches
     t = -s in [0, -theta_lo] (to 1e-12, or 1e-12 of a support narrower than
     1), which puts the flat stretch on the right, where its rule of keeping
-    the left on a tie walks away from it.  The search only nears the kink,
-    where V has no derivative, so the kink is a candidate of its own, as is
-    V(theta_lo): no information, the regime exactly when E[theta] > 0 and
-    V(theta_lo) is at least the others.
+    the left on a tie walks away from it.  Each trial reads the prior once,
+    by d.cut(s) = (F(s), m(s)), and the loss at most once, u(2 m(s)).  The
+    search only nears the kink, where V has no derivative, so the kink is a
+    candidate of its own, as is V(theta_lo): no information, the regime
+    exactly when E[theta] > 0 and V(theta_lo) is at least the others.
 
     A tilted prior still takes _numeric.grid_max over 801 proposals of
     [0, min(2 theta_hi, 1)], each scored by _proposal_value with the

@@ -29,8 +29,9 @@ from vetopersuasion import (
     utilde,
 )
 from vetopersuasion.oracle import (
+    _cells_value,
+    _edge,
     _indirect,
-    _partition_value,
     _proposal_payoff,
     _split_value_atoms,
     _three_type_root,
@@ -98,7 +99,7 @@ class TestPartitionSearch:
                 if mass > 0.0:
                     mean = (d.upper_partial_mean(a) - d.upper_partial_mean(b)) / mass
                     naive += mass * _indirect(mean, prefs)
-            assert _partition_value(d, prefs, cuts) == naive
+            assert _cells_value([_edge(d, x) for x in edges], prefs) == naive
 
     def test_scalar_refinement_makes_no_0d_loss_array_call(self, monkeypatch):
         shapes = []

@@ -27,7 +27,7 @@ from vetopersuasion import (
 from vetopersuasion import qsolve
 from vetopersuasion._numeric import bisect_rising, brentq, grid_max, linspace
 from vetopersuasion.closedform import linear_case_uniform, u_bi
-from vetopersuasion.oracle import _partition_value, verify_certificate
+from vetopersuasion.oracle import _cells_value, _edge, verify_certificate
 from vetopersuasion.prefs import ProposerPreferences
 from vetopersuasion.qsolve import _cutoff_map
 
@@ -80,7 +80,7 @@ def test_solve_cutoff_kink_corner_matches_closed_form():
 def test_solve_cutoff_where_u_prime_vanishes_at_the_ideal():
     # Power(1.5) has u'(1) = 0, so the anchor at m = 1/2 is -inf.
     prefs = Power(1.5)
-    assert qsolve._anchor(0.5, prefs) == -math.inf
+    assert qsolve._anchor(prefs)(0.5) == -math.inf
     s_star, s_upper = solve_cutoff(U11, prefs)
     assert -1.0 < s_star < 0.0 and s_upper == pytest.approx(0.5 * (s_star + 1.0))
     assert s_star == pytest.approx(_nested_cutoff(U11, prefs), abs=1e-12)
@@ -161,7 +161,7 @@ def test_timing_equivalence_spot():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(-0.999, 0.999))
 def test_no_cutoff_beats_solver(cut):
-    value = _partition_value(U11, SQ, [cut])
+    value = _cells_value([_edge(U11, x) for x in (-1.0, cut, 1.0)], SQ)
     assert value <= -11.0 / 27.0 + 1e-9
 
 
@@ -259,12 +259,18 @@ def test_tilted_cutoff_map_never_raises_and_is_the_checked_bisection(d, checked_
     assert (raised > 0) is checked_raises
 
 
-@pytest.mark.parametrize("d", [UniformInterval(-1.0, 0.8), UniformInterval(-1e6, 1.5)])
+# Measured prior reads per solve: two means, one support, one cut per trial
+# and the final cutoff's cdf and cond_mean_above.
+SEARCH_READS = {UniformInterval(-1.0, 0.8): 66, UniformInterval(-1e6, 1.5): 96}
+
+
+@pytest.mark.parametrize("d", list(SEARCH_READS))
 def test_uniform_proposal_first_is_a_search_not_a_scan(d, monkeypatch):
-    # One golden-section search over the cutoff: each trial reads the prior's
-    # cond_mean_above and cdf and the loss once, about 60 trials at 1e-12 on
-    # [0, 1] and 90 on [0, 1e6], so far under the 801 utility reads a proposal
-    # grid makes.
+    # One golden-section search over the cutoff: each trial reads the prior
+    # once, by cut, and the loss at most once, 60 trials at 1e-12 on [0, 1]
+    # and 89 on [0, 1e6] (plus V(theta_lo), and the kink s = -0.5 of the
+    # wide support), so far under the 801 utility reads a proposal grid
+    # makes.  The bound allows 10% over the measured count.
     calls = {}
 
     def count(cls, name):
@@ -276,7 +282,7 @@ def test_uniform_proposal_first_is_a_search_not_a_scan(d, monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
 
-    for name in ("mean", "cond_mean_above", "cdf"):
+    for name in ("mean", "cond_mean_above", "cdf", "cut"):
         count(UniformInterval, name)
     for name in ("loss", "utility"):
         count(ProposerPreferences, name)
@@ -286,9 +292,31 @@ def test_uniform_proposal_first_is_a_search_not_a_scan(d, monkeypatch):
     monkeypatch.setattr(UniformInterval, "support", property(UniformInterval.support))
     r = solve_proposal_first(d, SQ)
     assert r.regime is Regime.BINARY_CUTOFF
-    prior = sum(calls.get(name, 0) for name in ("mean", "cond_mean_above", "cdf", "support"))
-    assert prior < 200, calls
-    assert calls.get("loss", 0) + calls.get("utility", 0) < 200, calls
+    # The search scores its trials by cut alone; cdf and cond_mean_above
+    # read only the final cutoff.
+    assert calls["cdf"] == calls["cond_mean_above"] == 1, calls
+    prior = sum(calls.get(name, 0) for name in ("mean", "cond_mean_above", "cdf", "cut", "support"))
+    assert prior <= 1.1 * SEARCH_READS[d], calls
+    # c(1) once, then at most one utility per trial.
+    assert calls["loss"] + calls.get("utility", 0) <= 1 + calls["cut"], calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(UNIFORMS, TILTS), st.floats(-0.5, 1.5))
+@example(UniformInterval(-1.0, 1.0), 1.0 - 1e-13)  # under 1e-12 of mass above s
+@example(lr_tilt(UniformInterval(-1.0, 1.0), 2.0), 1.0 - 1e-13)
+@example(UniformInterval(-1.0, 1.0), 0.0)
+def test_cut_is_cdf_then_cond_mean_above(d, x):
+    # x < 0 puts s below the support, x > 1 above it.
+    lo, hi = d.support
+    s = lo + x * (hi - lo)
+    try:
+        expected = (d.cdf(s), d.cond_mean_above(s))
+    except FullMassBelowError:
+        with pytest.raises(FullMassBelowError):
+            d.cut(s)
+        return
+    assert repr(d.cut(s)) == repr(expected)  # bit for bit, signed zeros too
 
 
 def _scored_by_cdf(d, prefs):
