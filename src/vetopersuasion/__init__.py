@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
-    **dict.fromkeys(["BinaryTypeEnv", "acceptance_root", "best_acceptable_proposal",
-                     "phi_threshold", "psi_cap"], "accept"),
+    **dict.fromkeys(["BinaryTypeEnv", "acceptance_root", "phi_threshold", "psi_cap"], "accept"),
     **dict.fromkeys(["ExponentialTilt", "FiniteAtoms", "TypeDistribution", "UniformInterval",
                      "dist_from_literal", "lr_tilt"], "dist"),
     **dict.fromkeys(["AssumptionViolatedError", "DomainError", "FullMassBelowError",
@@ -23,7 +22,7 @@ _EXPORTS = {
                     "lsolve"),
     **dict.fromkeys(["Exponential", "Linear", "Power", "ProposerPreferences",
                      "prefs_from_literal"], "prefs"),
-    **dict.fromkeys(["Regime", "SolveOutcome", "indirect_u", "no_info_optimal", "solve_cutoff",
+    **dict.fromkeys(["Regime", "SolveOutcome", "indirect_u", "solve_cutoff",
                      "solve_persuasion_first", "solve_proposal_first"], "qsolve"),
 }
 # Exported under another name than the submodule's.

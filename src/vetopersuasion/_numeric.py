@@ -85,14 +85,25 @@ def grid_max(f: Callable[[float], float], xs: Sequence[float], tol: float,
     return (x, fx) if fx >= vals[k] else (xs[k], vals[k])
 
 
-def three_weights(prior: Tuple[float, float]) -> Tuple[float, float, float]:
-    """(w0, w1, 1 - w0 - w1) for w0, w1 >= 0.  A residual in [-1e-12, 0) is rounding
-    (FiniteAtoms accepts sums within 1e-12 of 1) and reads as 0.0; lower raises."""
+def three_weights(prior: Tuple[float, float],
+                  levels: Tuple[float, float, float]) -> Tuple[float, float, float]:
+    """(w0, w1, 1 - w0 - w1) for prior (w0, w1) on levels (0, ell, h).  Raises
+    DomainError unless there are 2 weights and 3 levels, all finite, then
+    unless the weights are >= 0, then unless 0 <= ell < h.  A residual in
+    [-1e-12, 0) is rounding (FiniteAtoms accepts sums within 1e-12 of 1) and
+    reads as 0.0; lower raises."""
+    if len(prior) != 2 or len(levels) != 3:
+        raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
+    if not all(math.isfinite(x) for x in (*prior, *levels)):
+        raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
     w0, w1 = prior
     w2 = 1.0 - w0 - w1
     w2 = 0.0 if -1e-12 <= w2 < 0.0 else w2
     if min(w0, w1, w2) < 0.0:
         raise DomainError(f"bad prior {prior}")
+    z, ell, h = levels
+    if not (z == 0.0 and 0.0 <= ell < h):
+        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
     return w0, w1, w2
 
 

@@ -80,9 +80,17 @@ def psi_cap(env: BinaryTypeEnv, mu: float) -> float:
 
 
 def acceptance_root(thetas: Sequence[float]) -> Callable[[Sequence[float]], float]:
-    """best_acceptable_proposal with the atoms checked, and p_bar, the breaks
-    and each atom's gain t - |p - t| = min(p, 2t - p) at each break fixed, once;
-    the closure checks the weights and sums their products with the gains."""
+    """thetas -> (weights -> the largest p in [0, min(2 max theta, 1)] with
+    V(p) >= V(0)), the acceptance entry point for absolute loss.
+
+    A(p) = V(p) - V(0) = sum_i w_i (t_i - |p - t_i|) is concave and piecewise
+    linear with kinks at the atoms, and A(0) = 0, so the acceptance set is an
+    interval [0, r]; r is found exactly on the linear pieces.  The kinks are
+    read right to left, and A only until the first one it accepts: r lies on
+    the piece above it.  The atoms are checked, and p_bar, the breaks and each
+    atom's gain min(p, 2t - p) at each break fixed, once; the closure checks
+    the weights and sums their products with the gains.
+    """
     if not all(math.isfinite(t) for t in thetas):
         raise DomainError("atom locations and weights must be finite")
     if any(t < 0.0 for t in thetas):
@@ -110,15 +118,3 @@ def acceptance_root(thetas: Sequence[float]) -> Callable[[Sequence[float]], floa
         return 0.0
 
     return root
-
-
-def best_acceptable_proposal(thetas: Sequence[float], weights: Sequence[float]) -> float:
-    """Largest p in [0, min(2*max theta, 1)] with V(p) >= V(0), absolute loss.
-
-    A(p) = V(p) - V(0) is concave and piecewise linear with kinks at the
-    atoms, and A(0) = 0, so the acceptance set is an interval [0, r]; r is
-    found exactly on the linear pieces.  The kinks are read right to left,
-    and A only until the first one it accepts: r lies on the piece above it.
-    Each call binds acceptance_root afresh; bind it once to reuse the atoms.
-    """
-    return acceptance_root(thetas)(weights)

@@ -16,7 +16,6 @@ polish) searches the tripwire grid and both families.  Pure stdlib
 
 from __future__ import annotations
 
-import math
 from typing import Optional, Tuple
 
 from ._numeric import golden_max, grid_max, linspace, three_weights
@@ -179,14 +178,7 @@ def three_type_values(
     interval's ends; on Linear loss that polish can miss a family's kinked
     peak.  The acceptance root is bound to the levels once for every posterior.
     """
-    if len(prior) != 2 or len(levels) != 3:
-        raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
-    if not all(math.isfinite(x) for x in (*prior, *levels)):
-        raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
-    weights = w0, wl, wh = three_weights(prior)
-    z, ell, h = levels
-    if not (z == 0.0 and 0.0 <= ell < h):
-        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
+    weights = w0, wl, wh = three_weights(prior, levels)
     root = acceptance_root(levels)
 
     v_noinfo = prefs.utility(root(weights))

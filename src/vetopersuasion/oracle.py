@@ -23,7 +23,6 @@ does, and a polish trial on floats runs no import statement.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, List, Sequence, Tuple
 
 from ._numeric import golden_max, grid_max, three_weights
@@ -353,14 +352,8 @@ def binary_signal_search_atoms(
     """
     if grid_n > 101:
         raise DomainError(f"grid_n capped at 101, got {grid_n}")
-    if len(prior) != 2 or len(levels) != 3:
-        raise DomainError(f"need 2 prior weights and 3 levels, got {prior}, {levels}")
-    if not all(math.isfinite(x) for x in (*prior, *levels)):
-        raise DomainError(f"prior and levels must be finite, got {prior}, {levels}")
-    z, ell, h = levels
-    if not (z == 0.0 and 0.0 <= ell < h):  # the bliss points _three_type_root reads
-        raise DomainError(f"levels must be (0, ell, h) with 0 <= ell < h, got {levels}")
-    weights = [float(w) for w in three_weights(prior)]
+    # Levels (0, ell, h), 0 <= ell < h: the bliss points _three_type_root reads.
+    weights = [float(w) for w in three_weights(prior, levels)]
     levels = [float(t) for t in levels]
     import numpy as np
     g = np.linspace(0.0, 1.0, grid_n)

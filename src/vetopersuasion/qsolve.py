@@ -28,7 +28,7 @@ from typing import Callable, Optional, Tuple
 from ._numeric import bisect_rising, brentq, golden_max, grid_max, linspace
 from ._record import Record
 from .dist import _MASS_EPS, FiniteAtoms, TypeDistribution, UniformInterval
-from .errors import AssumptionViolatedError, NoRootError, UnsupportedCombinationError
+from .errors import NoRootError, UnsupportedCombinationError
 from .prefs import ProposerPreferences
 
 _GOLDEN_TOL = 1e-12
@@ -79,29 +79,6 @@ def _anchor(prefs: ProposerPreferences) -> Callable[[float], float]:
     return anchor
 
 
-def no_info_optimal(d: TypeDistribution, prefs: ProposerPreferences) -> bool:
-    """Whether the tangent line at the prior mean majorizes U, i.e. its
-    anchor lies at or below theta_lo.
-
-    Equivalent to: no experiment improves on proposing 2 E[theta] outright.
-    """
-    mean = d.mean()
-    if mean >= 0.5:
-        raise AssumptionViolatedError(
-            "E[theta] >= 1/2: the Proposer's ideal proposal is already accepted"
-        )
-    return _no_info_optimal(d, mean, _anchor(prefs))
-
-
-def _no_info_optimal(d: TypeDistribution, mean: float, anchor: Callable[[float], float]) -> bool:
-    theta_lo, _ = d.support
-    if theta_lo >= 0.0:
-        return True
-    # An affine u has A = 0 > theta_lo, but a small mean can round A(E[theta])
-    # below a theta_lo that is within rounding of 0.
-    return mean > 0.0 and anchor(0.5) < 0.0 and anchor(mean) <= theta_lo
-
-
 def solve_cutoff(
     d: TypeDistribution, prefs: ProposerPreferences
 ) -> Tuple[float, float]:
@@ -134,15 +111,16 @@ def solve_cutoff(
     m = 1/2, where no m resolves the cutoff.  A nearly affine u can round A
     above 0, so A is clamped there, which keeps z(0) >= 0.  Each case takes
     one Brent run at most, with no root find inside it.
+
+    No information is decided here and nowhere else: where A(E[theta]) <=
+    theta_lo, z(theta_lo) is exactly 0 and Brent returns theta_lo.  This
+    raises NoRootError exactly then (or where theta_lo lies within Brent's
+    1e-14 of 0 and Brent returns it) or on a nonnegative support.
     """
-    return _cutoff(d, _anchor(prefs))
-
-
-def _cutoff(d: TypeDistribution, anchor: Callable[[float], float]) -> Tuple[float, float]:
-    """solve_cutoff with the anchor bound by the caller."""
     theta_lo, _ = d.support
     if theta_lo >= 0.0:
         raise NoRootError("no cutoff exists when the whole support is nonnegative")
+    anchor = _anchor(prefs)
     cond_mean_above, a_half = d.cond_mean_above, anchor(0.5)
     if a_half > theta_lo and cond_mean_above(a_half) >= 0.5:
         s_star = brentq(lambda s: cond_mean_above(s) - 0.5, theta_lo, a_half,
@@ -192,18 +170,14 @@ def solve_persuasion_first(
     trivial = _trivial_outcome(d, prefs)
     if trivial is not None:
         return trivial
-    mean, anchor = d.mean(), _anchor(prefs)
-    no_info = mean > 0.0 and _no_info_optimal(d, mean, anchor)
-    if not no_info:
-        try:
-            s_star, s_upper = _cutoff(d, anchor)
-        except NoRootError:
-            # On a support narrower than about 1e-15 the anchor can round below
-            # theta_lo while z(theta_lo) rounds to >= 0, which is no information.
-            if mean <= 0.0:
-                raise
-            no_info = True
-    if no_info:
+    try:
+        s_star, s_upper = solve_cutoff(d, prefs)
+    except NoRootError:
+        # No interior cutoff: with E[theta] > 0, proposing 2 E[theta] outright
+        # is accepted, and that is no information.
+        mean = d.mean()
+        if mean <= 0.0:
+            raise
         return SolveOutcome(
             Regime.NO_INFO, None, None, min(2.0 * mean, 1.0), indirect_u(mean, prefs), 0.0
         )

@@ -12,7 +12,6 @@ from vetopersuasion import (
     Linear,
     Power,
     acceptance_root,
-    best_acceptable_proposal,
     phi_threshold,
     psi_cap,
     three_type_values,
@@ -69,15 +68,15 @@ class TestBinaryEnv:
     def test_psi_matches_atom_acceptance(self):
         env = BinaryTypeEnv(0.1, 0.7, 0.5)
         for mu in np.linspace(0.0, 1.0, 41):
-            direct = best_acceptable_proposal((env.ell, env.h), (1.0 - mu, mu))
+            direct = acceptance_root((env.ell, env.h))((1.0 - mu, mu))
             assert psi_cap(env, mu) == pytest.approx(direct, abs=1e-12)
 
 
 class TestBestAcceptable:
     def test_point_mass(self):
-        assert best_acceptable_proposal((0.3,), (1.0,)) == pytest.approx(0.6)
-        assert best_acceptable_proposal((0.8,), (1.0,)) == 1.0
-        assert best_acceptable_proposal((0.0,), (1.0,)) == 0.0
+        assert acceptance_root((0.3,))((1.0,)) == pytest.approx(0.6)
+        assert acceptance_root((0.8,))((1.0,)) == 1.0
+        assert acceptance_root((0.0,))((1.0,)) == 0.0
 
     def test_three_type_closed_form(self):
         # For levels (0, 0.1, 0.5) the largest acceptable proposal solves a
@@ -88,7 +87,7 @@ class TestBestAcceptable:
             for wl in np.linspace(0.01, 0.97, 50):
                 if w0 + wl >= 0.999:
                     continue
-                got = best_acceptable_proposal(levels, (w0, wl, 1.0 - w0 - wl))
+                got = acceptance_root(levels)((w0, wl, 1.0 - w0 - wl))
                 if w0 > 0.5:
                     expected = 0.0
                 elif 2.0 * w0 + 1.6 * wl <= 1.0:
@@ -110,7 +109,7 @@ class TestBestAcceptable:
         for thetas, weights in [((0.1, nan), (0.5, 0.5)), ((0.1, inf), (0.5, 0.5)),
                                 ((0.1, 0.5), (nan, 0.5)), ((0.1, 0.5), (0.5, -inf))]:
             with pytest.raises(DomainError):
-                best_acceptable_proposal(thetas, weights)
+                acceptance_root(thetas)(weights)
         for prior, levels in [((nan, 0.2), (0.0, 0.1, 0.5)), ((0.5, 0.2), (0.0, nan, 0.5)),
                               ((0.5, 0.2), (0.0, 0.1, inf)), ((0.5, inf), (0.0, 0.1, 0.5))]:
             with pytest.raises(DomainError):
@@ -118,7 +117,7 @@ class TestBestAcceptable:
 
 
 def _full_scan(thetas, weights):
-    """best_acceptable_proposal as it read before the scan stopped at the
+    """The acceptance root as it read before the scan stopped at the
     sign change: the gap at every break, then the sign change right to left."""
     p_bar = min(2.0 * max(thetas), 1.0)
     if p_bar <= 0.0:
@@ -148,9 +147,9 @@ ATOM = st.one_of(st.sampled_from([0.0, 0.05, 0.1, 0.25, 0.5, 1.0, 1e200]), st.fl
 @example([(0.1, 0.5), (0.1, 0.3), (0.4, 0.2)])
 @example([(0.0, 0.7), (0.1, 0.2), (1e200, 0.1)])
 @example([(0.0, 1.0), (0.3, 0.0)])
-def test_best_acceptable_proposal_is_the_full_scan_bit_for_bit(atoms):
+def test_acceptance_root_is_the_full_scan_bit_for_bit(atoms):
     thetas, weights = zip(*atoms)
-    assert repr(best_acceptable_proposal(thetas, weights)) == repr(_full_scan(thetas, weights))
+    assert repr(acceptance_root(thetas)(weights)) == repr(_full_scan(thetas, weights))
 
 
 @settings(max_examples=300, deadline=None)
@@ -180,15 +179,12 @@ def test_a_bound_root_raises_the_kernels_messages(thetas, bad, negative, data):
     finite, nonnegative = "atom locations and weights must be finite", "must be nonnegative here"
     for level, message in [(bad, finite), (negative, nonnegative)]:
         bad_thetas = [*thetas[:k], level, *thetas[k + 1:]]
-        for call in (lambda: acceptance_root(bad_thetas),
-                     lambda: best_acceptable_proposal(bad_thetas, weights)):
-            with pytest.raises(DomainError, match=message):
-                call()
+        with pytest.raises(DomainError, match=message):
+            acceptance_root(bad_thetas)
     # Non-finite weights raise from the bound root however the atoms lie.
     root, bad_weights = acceptance_root(thetas), [*weights[:k], bad, *weights[k + 1:]]
-    for call in (lambda: root(bad_weights), lambda: best_acceptable_proposal(thetas, bad_weights)):
-        with pytest.raises(DomainError, match=finite):
-            call()
+    with pytest.raises(DomainError, match=finite):
+        root(bad_weights)
 
 
 def _generator_three_type_values(prior, levels, prefs):

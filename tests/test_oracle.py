@@ -14,11 +14,11 @@ from vetopersuasion import (
     Linear,
     Power,
     ProposerPreferences,
+    Regime,
     UniformInterval,
     accept,
     dist_from_literal,
     lsolve,
-    no_info_optimal,
     oracle,
     phi_threshold,
     psi_cap,
@@ -130,7 +130,8 @@ class TestCertificates:
         # The tangent certificate is exactly the no-information criterion.
         for lo in (-0.3, -0.25, -0.15, -0.1):
             d = UniformInterval(lo, 1.0)
-            assert verify_no_info_certificate(d, SQ)[0] == no_info_optimal(d, SQ)
+            no_info = solve_persuasion_first(d, SQ).regime is Regime.NO_INFO
+            assert verify_no_info_certificate(d, SQ)[0] == no_info
 
 
 class TestSplitSearch:
@@ -155,8 +156,7 @@ class TestSplitSearch:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        names = ["uhat", "utilde", "psi_cap", "phi_threshold", "best_acceptable_proposal",
-                 "acceptance_root"]
+        names = ["uhat", "utilde", "psi_cap", "phi_threshold", "acceptance_root"]
         for module in (accept, lsolve, oracle):
             for name in names:
                 if hasattr(module, name):
@@ -185,8 +185,7 @@ class TestBinarySignalSearch:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        for name in ("best_acceptable_proposal", "acceptance_root"):
-            monkeypatch.setattr(accept, name, boom)
+        monkeypatch.setattr(accept, "acceptance_root", boom)
         v, _ = binary_signal_search_atoms((0.7, 0.2), (0.0, 0.1, 0.5), LIN, grid_n=41)
         assert v == pytest.approx(-13.0 / 15.0, abs=1e-4)
 
@@ -356,8 +355,7 @@ class TestProposalFirstGrid:
         def boom(*args):
             raise AssertionError("the oracle called solver logic")
 
-        names = ["utilde", "phi_threshold", "psi_cap", "best_acceptable_proposal",
-                 "acceptance_root"]
+        names = ["utilde", "phi_threshold", "psi_cap", "acceptance_root"]
         for module in (accept, lsolve, oracle):
             for name in names:
                 if hasattr(module, name):
@@ -664,7 +662,7 @@ def _assert_same_root(r, ref, a, b, c, ell, h):
 
 @settings(max_examples=500, deadline=None)
 @given(WEIGHT, WEIGHT, WEIGHT, THREE_LEVELS)
-def test_three_type_root_matches_best_acceptable_proposal(a, b, c, levels):
+def test_three_type_root_matches_acceptance_root(a, b, c, levels):
     # Posterior weights: the draws over their sum (zeros stay zero).
     s = a + b + c
     if s > 0.0:
@@ -672,7 +670,7 @@ def test_three_type_root_matches_best_acceptable_proposal(a, b, c, levels):
     _, ell, h = levels
     r = _three_type_root(a, b, c, ell, h)
     assert 0.0 <= r <= min(2.0 * h, 1.0)
-    _assert_same_root(r, accept.best_acceptable_proposal(levels, (a, b, c)), a, b, c, ell, h)
+    _assert_same_root(r, accept.acceptance_root(levels)((a, b, c)), a, b, c, ell, h)
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from vetopersuasion import (
-    AssumptionViolatedError,
     Exponential,
     ExponentialTilt,
     FiniteAtoms,
@@ -19,7 +18,6 @@ from vetopersuasion import (
     UnsupportedCombinationError,
     indirect_u,
     lr_tilt,
-    no_info_optimal,
     solve_cutoff,
     solve_persuasion_first,
     solve_proposal_first,
@@ -43,12 +41,50 @@ def test_indirect_u_pieces():
     assert indirect_u(0.9, SQ) == 0.0
 
 
-def test_no_info_optimal():
-    assert no_info_optimal(UniformInterval(-0.2, 1.0), SQ)
-    assert not no_info_optimal(U11, SQ)
-    assert no_info_optimal(UniformInterval(0.05, 0.8), SQ)  # support above 0
-    with pytest.raises(AssumptionViolatedError):
-        no_info_optimal(UniformInterval(0.5, 0.9), SQ)  # mean >= 1/2
+# A support 2e-16 wide: A(E[theta]) lies above theta_lo, but theta_lo lies
+# within Brent's 1e-14 of 0, and Brent returns it in solve_cutoff.
+NARROW = (UniformInterval(-4.327947371105713e-17, 1.7186974336222915e-16),
+          Exponential(0.12972665772663997))
+
+
+def _count_cutoff_solves(monkeypatch):
+    calls = []
+
+    def counted(d, prefs):
+        calls.append(d)
+        return solve_cutoff(d, prefs)
+
+    monkeypatch.setattr(qsolve, "solve_cutoff", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d,prefs,regime", [
+    (U11, SQ, Regime.BINARY_CUTOFF),
+    (UniformInterval(-0.2, 1.0), SQ, Regime.NO_INFO),  # the tangent line majorizes U
+    (UniformInterval(0.05, 0.8), SQ, Regime.NO_INFO),  # support above 0
+    (*NARROW, Regime.NO_INFO),
+])
+def test_persuasion_first_decides_no_information_by_one_cutoff_solve(d, prefs, regime,
+                                                                    monkeypatch):
+    calls = _count_cutoff_solves(monkeypatch)
+    assert solve_persuasion_first(d, prefs).regime is regime
+    assert calls == [d]
+
+
+@pytest.mark.parametrize("d,regime", [
+    (UniformInterval(0.5, 0.9), Regime.IDEAL_ACCEPTED),
+    (UniformInterval(-2.0, 5e-324), Regime.STATUS_QUO_ONLY),
+    (lr_tilt(U11, -800.0), Regime.STATUS_QUO_ONLY),
+    (FiniteAtoms(((-1.0, 0.5), (1.0, 0.5))), None),
+])
+def test_trivial_outcomes_solve_no_cutoff(d, regime, monkeypatch):
+    calls = _count_cutoff_solves(monkeypatch)
+    if regime is None:
+        with pytest.raises(UnsupportedCombinationError):
+            solve_persuasion_first(d, SQ)
+    else:
+        assert solve_persuasion_first(d, SQ).regime is regime
+    assert calls == []
 
 
 def test_solve_cutoff_uniform_quadratic():
@@ -439,12 +475,9 @@ def test_timings_agree_on_wide_uniforms(d, prefs):
 
 
 def test_persuasion_first_where_rounding_hides_the_no_information_anchor():
-    # A support 2e-16 wide: no_info_optimal rounds the anchor above theta_lo,
-    # but z(theta_lo) rounds to >= 0, so solve_cutoff finds no interior cutoff.
-    # With E[theta] > 0 that is no information, as proposal-first finds.
-    d = UniformInterval(-4.327947371105713e-17, 1.7186974336222915e-16)
-    prefs = Exponential(0.12972665772663997)
-    assert not no_info_optimal(d, prefs)
+    # On NARROW, solve_cutoff finds no interior cutoff.  With E[theta] > 0
+    # that is no information, as proposal-first finds.
+    d, prefs = NARROW
     with pytest.raises(NoRootError):
         solve_cutoff(d, prefs)
     pf = solve_persuasion_first(d, prefs)
