@@ -28,9 +28,7 @@ class BinaryTypeEnv(Record):
     __slots__ = ("ell", "h", "mu0", "__dict__")
 
     def __init__(self, ell: float, h: float, mu0: float) -> None:
-        object.__setattr__(self, "ell", ell)
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "mu0", mu0)
+        super().__init__(ell, h, mu0)
         if not all(math.isfinite(x) for x in (ell, h, mu0)):
             raise DomainError(f"parameters must be finite, got {self}")
         if not 0.0 <= ell < h:
@@ -73,9 +71,10 @@ def psi_cap(env: BinaryTypeEnv, mu: float) -> float:
     ell, h = env.ell, env.h
     if mu >= phi_threshold(env, env.p_bar):
         return env.p_bar
-    if mu >= max(0.0, phi_threshold(env, h)):
+    # phi(h) <= 1/2, but at ell = 0 and a subnormal h it can round above.
+    if mu >= min(0.5, max(0.0, phi_threshold(env, h))):
         return 2.0 * ((1.0 - mu) * ell + mu * h)
-    # Here mu < phi(h) < 1/2, so the denominator is positive.
+    # Here mu < 1/2, so the denominator is positive.
     return 2.0 * ell * (1.0 - mu) / (1.0 - 2.0 * mu)
 
 

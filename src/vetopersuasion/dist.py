@@ -79,8 +79,7 @@ class UniformInterval(TypeDistribution, Record):
         # Every query divides by the width; past the float range it reads inf.
         if not math.isfinite(hi - lo):
             raise DomainError(f"support width must be finite, got [{lo}, {hi}]")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        super().__init__(lo, hi)
 
     @property
     def support(self) -> Tuple[float, float]:
@@ -107,13 +106,12 @@ class UniformInterval(TypeDistribution, Record):
             import numpy as np
 
             a = np.minimum(np.maximum(s, self.lo), self.hi)
-            with np.errstate(over="ignore", invalid="ignore"):  # silent, as on floats
-                upper = 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
-            return np.where(a >= self.hi, 0.0, upper)
+            return 0.5 * (a + self.hi) * ((self.hi - a) / (self.hi - self.lo))
         a = self.lo if self.lo > s else s  # max(s, self.lo), without the call
         if a >= self.hi:
             return 0.0
-        return 0.5 * (self.hi * self.hi - a * a) / (self.hi - self.lo)
+        # E[theta | theta >= a] times the mass above a: hi^2 - a^2 overflows past 1.3e154.
+        return 0.5 * (a + self.hi) * ((self.hi - a) / (self.hi - self.lo))
 
     def mass_above(self, s: float) -> float:
         if s <= self.lo:
@@ -146,7 +144,7 @@ class FiniteAtoms(Record):
 
     def __init__(self, points: Tuple[Tuple[float, float], ...]) -> None:
         pts = tuple((float(t), float(p)) for t, p in points)
-        object.__setattr__(self, "points", pts)
+        super().__init__(pts)
         if not pts:
             raise DomainError("need at least one atom")
         if not all(math.isfinite(x) for pt in pts for x in pt):
@@ -216,8 +214,7 @@ class ExponentialTilt(TypeDistribution, Record):
             )
         if not math.isfinite(lam):
             raise DomainError(f"tilt parameter must be finite, got {lam}")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "lam", lam)
+        super().__init__(base, lam)
         lo, hi = base.support
         k = -abs(lam)
         object.__setattr__(self, "_lo", lo)

@@ -36,12 +36,6 @@ class BinarySolveOutcome(Record):
     # posteriors holds (mu, weight, proposal) triples; regime is "NoInfo" or "Split".
     __slots__ = ("value", "posteriors", "regime")
 
-    def __init__(self, value: float, posteriors: Tuple[Tuple[float, float, float], ...],
-                 regime: str) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "posteriors", posteriors)
-        object.__setattr__(self, "regime", regime)
-
 
 def uhat(env: BinaryTypeEnv, prefs: ProposerPreferences, mu: float) -> float:
     """Proposer's payoff from the best accepted proposal at belief mu."""
@@ -149,16 +143,6 @@ class ThreeTypeValues(Record):
     # branch is "reveal-low" (sigma on type 0) or "reveal-mid" (sigma on ell).
     __slots__ = ("v_noinfo", "v_fullinfo", "v_bestbinary", "sigma_star", "branch",
                  "branch_values")
-
-    def __init__(self, v_noinfo: float, v_fullinfo: float, v_bestbinary: float,
-                 sigma_star: Tuple[float, float, float], branch: str,
-                 branch_values: Tuple[float, float]) -> None:
-        object.__setattr__(self, "v_noinfo", v_noinfo)
-        object.__setattr__(self, "v_fullinfo", v_fullinfo)
-        object.__setattr__(self, "v_bestbinary", v_bestbinary)
-        object.__setattr__(self, "sigma_star", sigma_star)
-        object.__setattr__(self, "branch", branch)
-        object.__setattr__(self, "branch_values", branch_values)
 
 
 def three_type_values(

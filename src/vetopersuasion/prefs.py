@@ -89,7 +89,7 @@ class Power(ProposerPreferences, Record):
     def __init__(self, gamma: float) -> None:
         if not math.isfinite(gamma) or gamma < 1.0:
             raise DomainError(f"power loss needs a finite gamma >= 1, got {gamma}")
-        object.__setattr__(self, "gamma", gamma)
+        super().__init__(gamma)
 
     def _loss(self, x: float) -> float:
         return x ** self.gamma
@@ -107,7 +107,7 @@ class Exponential(ProposerPreferences, Record):
     def __init__(self, alpha: float) -> None:
         if not math.isfinite(alpha) or alpha <= 0.0:
             raise DomainError(f"CARA coefficient must be finite and > 0, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        super().__init__(alpha)
         # The models evaluate the loss on [0, 1] only; it must stay finite there.
         try:
             finite = math.isfinite(self._loss(1.0)) and math.isfinite(self._loss_deriv(1.0))

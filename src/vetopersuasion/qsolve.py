@@ -42,16 +42,8 @@ class Regime(Enum):
 
 
 class SolveOutcome(Record):
+    # s_star and s_upper are None unless regime is BINARY_CUTOFF.
     __slots__ = ("regime", "s_star", "s_upper", "proposal", "value", "veto_prob")
-
-    def __init__(self, regime: Regime, s_star: Optional[float], s_upper: Optional[float],
-                 proposal: float, value: float, veto_prob: float) -> None:
-        object.__setattr__(self, "regime", regime)
-        object.__setattr__(self, "s_star", s_star)
-        object.__setattr__(self, "s_upper", s_upper)
-        object.__setattr__(self, "proposal", proposal)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "veto_prob", veto_prob)
 
 
 def indirect_u(s: float, prefs: ProposerPreferences) -> float:

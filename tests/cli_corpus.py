@@ -27,6 +27,8 @@ PAPER3 = "atoms:0:.7,0.1:.2,0.5:.1"  # the paper's three-type example
 # FiniteAtoms accepts these weights; 1 - 0.6 - 0.4000000000000001 is -5.6e-17,
 # a residual on the top atom that both linear3 paths read as 0.
 RESIDUAL3 = "atoms:0:0.6,0.1:0.4000000000000001,0.5:1e-300"
+# ell = 0 and a subnormal h, on which phi(h) = (0.5 h) / h rounds above 1/2.
+SUBNORMAL2 = "atoms:0:0.5,1e-310:0.5"
 # A support 2e-16 wide on which z(theta_lo) rounds to >= 0 in solve_cutoff.
 NARROW = "uniform:-4.327947371105713e-17,1.7186974336222915e-16 exp:0.12972665772663997"
 
@@ -70,6 +72,8 @@ ROWS = [
     ("solve linear2 proposal-first atoms:0.1:.9,1.5:.1 linear", 0, None),
     ("solve linear2 proposal-first atoms:0.1:.8,0.7:.2 exp:80", 0, None),
     ("solve linear2 persuasion-first atoms:0.1:.7,1e308:.3 power:2", 0, None),
+    # psi_cap divided by 1 - 2 mu = 0 at mu = 1/2 there.
+    (f"solve linear2 proposal-first {SUBNORMAL2} linear", 0, "regime: NoInfo"),
     *((f"solve linear3 {t} {PAPER3} linear", 0, None) for t in TIMINGS),
     *((f"solve linear3 {t} {RESIDUAL3} linear", 0, None) for t in TIMINGS),
     # Sweeps and figures; tilts 2.5 and 3 have no cutoff and read n/a.
@@ -113,6 +117,9 @@ ROWS = [
     # No partition search where the regime leaves nothing to compare; on this
     # support it warned (inf - inf).
     ("oracle quad uniform:-1e300,1 linear", 0, "PASS regime: StatusQuoOnly"),
+    # hi^2 - a^2 overflowed in upper_partial_mean, so the grid read nan: a false FAIL.
+    ("oracle quad uniform:-1e160,1e160 exp:2", 0, "PASS partition-search"),
+    ("oracle quad uniform:-1e300,1e300 power:2", 0, "PASS partition-search"),
     ('oracle quad "tilt:uniform:-1,1;2" exp:1', 0, None),
     *((f'oracle quad "tilt:uniform:-1,1;{lam}" power:2', 0, None)
       for lam in ("700", "-700", "1e-300")),
@@ -124,6 +131,7 @@ ROWS = [
     ("oracle linear2 atoms:9.030187855084931e-05:0.73235894692613523,"
      "0.00034729390625454215:0.26764105307386477 linear", 0, "PASS timing-order"),
     ('oracle linear2 "atoms:0:.5,1e308:.5" linear', 0, None),
+    (f"oracle linear2 {SUBNORMAL2} linear", 0, "PASS timing-order"),
     ('oracle linear2 "atoms:0.1:.5,1e17:.5" power:2', 0, None),
     (f"oracle linear3 {PAPER3} linear", 0, "PASS binary-signal-search: oracle -0.866666667"),
     *((f"oracle linear3 {PAPER3} linear --grid {n}", 0, None) for n in (40, 101)),

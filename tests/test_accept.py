@@ -56,6 +56,17 @@ class TestBinaryEnv:
         for mu in np.linspace(0.0, 1.0, 41):
             assert psi_cap(far, mu) == psi_cap(near, mu) <= far.p_bar
 
+    def test_a_subnormal_high_type_over_a_zero_low_type(self):
+        # At ell = 0, phi(h) = (0.5 h) / h is 1/2, but rounds to either side
+        # of it for many subnormal h; above it, psi divided by 1 - 2 mu = 0
+        # at mu = 1/2.  From mu = 1/2 on, every h is accepted.
+        halves = (0.5, math.nextafter(0.5, 0.0), math.nextafter(0.5, 1.0), 0.5 + 1e-13)
+        for h in [k * 5e-324 for k in (1, 3, 7, 1001, 2 ** 40 + 1)] + [1e-310, 2.2e-308]:
+            env = BinaryTypeEnv(0.0, h, 0.5)
+            for mu in (0.0, 0.25, *halves, 0.75, 1.0):
+                psi = psi_cap(env, mu)
+                assert 0.0 <= psi <= env.p_bar and (mu < 0.5 or psi == 2.0 * (mu * h))
+
     def test_psi_phi_inverse(self):
         # psi(mu) is the largest acceptable proposal: phi(psi(mu)) <= mu,
         # with equality strictly inside (0, p_bar).

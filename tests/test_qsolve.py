@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from vetopersuasion import (
     Exponential,
@@ -472,6 +472,38 @@ def test_timings_agree_on_steep_tilts(d, prefs):
 @example(UniformInterval(-1e6, 1.0), Linear())
 def test_timings_agree_on_wide_uniforms(d, prefs):
     _assert_timings_agree(d, prefs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(UNIFORMS, st.floats(-10.0, 10.0), st.floats(-10.0, 10.0), LOSSES)
+def test_a_likelihood_ratio_shift_lowers_the_cutoff(base, lam1, lam2, prefs):
+    """The paper's comparative statics in the prior: a likelihood-ratio
+    rightward shift of F (Milgrom 1981), here from the tilt lam1 to lam2 >
+    lam1 of one base, does not raise the cutoff s* or the vetoed mass F(s*),
+    and does not lower the pooled mean s_upper or the Proposer's value."""
+    lam1, lam2 = sorted((lam1, lam2))
+    (d1, r1), (d2, r2) = ((d, solve_persuasion_first(d, prefs))
+                          for d in (lr_tilt(base, lam1), lr_tilt(base, lam2)))
+    assume(r1.regime is r2.regime is Regime.BINARY_CUTOFF)
+    tol = 1e-9 * max(1.0, prefs.loss(1.0))
+    assert r2.s_star <= r1.s_star + tol and d2.cdf(r2.s_star) <= d1.cdf(r1.s_star) + tol
+    assert r2.s_upper >= r1.s_upper - tol and r2.value >= r1.value - tol
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(UNIFORMS, TILTS), st.data())
+def test_risk_aversion_lowers_the_cutoff(d, data):
+    """The paper's comparative statics in the loss: a Proposer more risk
+    averse in Pratt's (1964) sense, c''/c' higher on [0, 1], does not raise
+    the cutoff s* or the pooled mean s_upper.  Power(gamma) has c''/c' =
+    (gamma - 1)/x and Exponential(alpha) has alpha, so each family is ordered
+    by its parameter; the two families are not ordered against each other."""
+    family, params = data.draw(st.sampled_from([
+        (Power, st.floats(1.0, 3.0)), (Exponential, st.floats(0.0, 4.0, exclude_min=True))]))
+    k1, k2 = sorted(data.draw(st.tuples(params, params)))
+    r1, r2 = (solve_persuasion_first(d, family(k)) for k in (k1, k2))
+    assume(r1.regime is r2.regime is Regime.BINARY_CUTOFF)
+    assert r2.s_star <= r1.s_star + 1e-9 and r2.s_upper <= r1.s_upper + 1e-9
 
 
 def test_persuasion_first_where_rounding_hides_the_no_information_anchor():

@@ -52,8 +52,8 @@ def test_record_parity(cls, fields, text):
 
 def test_a_tilts_bound_constants_are_not_fields():
     d = ExponentialTilt(UniformInterval(-1.5, 0.6), -3.25)
-    assert d._fields() == ["base", "lam"]
-    assert [f for f in ExponentialTilt.__slots__ if f not in d._fields()] == [
+    assert d._fields == ("base", "lam")
+    assert [f for f in ExponentialTilt.__slots__ if f not in d._fields] == [
         "_lo", "_hi", "_k", "_flat", "_z"]
     e = pickle.loads(pickle.dumps(d))
     assert e == d and repr(e) == repr(d) and hash(e) == hash(d)
@@ -63,3 +63,42 @@ def test_a_tilts_bound_constants_are_not_fields():
                                   d.mean(), d.support])
         if s < 0.6:
             assert e.cond_mean_above(s).hex() == d.cond_mean_above(s).hex()
+
+
+class SlottedPower(Power):
+    __slots__ = ()
+
+
+class SlottedUniform(UniformInterval):
+    __slots__ = ()
+
+
+@pytest.mark.parametrize("cls, args, text", [
+    (SlottedPower, (2.0,), "SlottedPower(gamma=2.0)"),
+    (SlottedUniform, (-1.0, 1.0), "SlottedUniform(lo=-1.0, hi=1.0)"),
+])
+def test_a_slotted_subclass_keeps_its_parents_fields(cls, args, text):
+    # The fields are read along the MRO, not from the class's own __slots__.
+    a, other = cls(*args), cls(*(x / 2.0 for x in args))
+    assert cls._fields == cls.__base__._fields
+    assert a == cls(*args) and a != other and hash(a) == hash(cls(*args)) != hash(other)
+    assert repr(a) == text and repr(other) != text
+    b = pickle.loads(pickle.dumps(a))
+    assert b == a and type(b) is cls and repr(b) == text
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SolveOutcome(Regime.NO_INFO, None, None, 0.5, -0.25),  # missing
+    lambda: SolveOutcome(Regime.NO_INFO, None, None, 0.5, -0.25, 0.0, other=1),  # unknown
+    lambda: SolveOutcome(Regime.NO_INFO, None, None, 0.5, -0.25, 0.0, 0.0),  # extra
+    lambda: BinarySolveOutcome(-0.5, ((0.2, 1.0, 0.3),), "NoInfo", value=-0.5),  # repeated
+    lambda: BinarySolveOutcome(-0.5, regime="NoInfo"),
+    lambda: Linear(0.0),
+    lambda: Power(),
+    lambda: Power(2.0, gamma=2.0),
+    lambda: UniformInterval(-1.0, lo=-1.0),
+    lambda: BinaryTypeEnv(0.1, 0.7),
+])
+def test_a_missing_extra_or_repeated_argument_raises(build):
+    with pytest.raises(TypeError):
+        build()
